@@ -32,6 +32,8 @@ from .tuner import SearchConfig, fit_asus, fit_sureshrink, select_k, sweep_tau
 
 METHODS = ("asus", "sureshrink", "auxscr", "ejs")
 DEFAULT_ESTIMATORS = ("oracle", "asus", "aux-scr", "sureshrink")
+CONFIG_REQUIRED = ("scenario", "n", "reps", "seed")
+CONFIG_OPTIONAL = ("m", "aux_variant", "estimators")
 
 
 def _round12(x):
@@ -86,26 +88,36 @@ def read_batch_csv(path: str) -> tuple[DataBatch, list]:
         for required in ("id", "y", "s"):
             if required not in cols:
                 raise ValueError(f"{path}: missing required column {required!r}")
-        ids, ys, sigmas, ss, xis, thetas = [], [], [], [], [], []
+        ids, ys, sigmas, ss = [], [], [], []
+        latent = {"xi": [], "theta": []}
+        first_empty = {}
         for lineno, row in enumerate(reader, start=2):
             try:
                 ids.append(row["id"])
                 ys.append(float(row["y"]))
                 sigmas.append(float(row["sigma"]) if row.get("sigma") not in (None, "") else 1.0)
                 ss.append(float(row["s"]))
-                if "xi" in cols and row.get("xi") not in (None, ""):
-                    xis.append(float(row["xi"]))
-                if "theta" in cols and row.get("theta") not in (None, ""):
-                    thetas.append(float(row["theta"]))
+                for name, values in latent.items():
+                    if row.get(name) in (None, ""):
+                        first_empty.setdefault(name, lineno)
+                    else:
+                        values.append(float(row[name]))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad row ({exc})") from exc
     if not ids:
         raise ValueError(f"{path}: no data rows")
-    n = len(ids)
-    xi = np.array(xis) if len(xis) == n else None
-    theta = np.array(thetas) if len(thetas) == n else None
+    for name, values in latent.items():
+        if values and name in first_empty:
+            raise ValueError(
+                f"{path}:{first_empty[name]}: column {name!r} is empty here "
+                "but filled on other rows"
+            )
     batch = DataBatch(
-        y=np.array(ys), sigma=np.array(sigmas), s=np.array(ss), theta=theta, xi=xi
+        y=np.array(ys),
+        sigma=np.array(sigmas),
+        s=np.array(ss),
+        theta=np.array(latent["theta"]) if latent["theta"] else None,
+        xi=np.array(latent["xi"]) if latent["xi"] else None,
     )
     return batch, ids
 
@@ -210,6 +222,13 @@ def cmd_simulate(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{args.config}: the config must be a JSON object")
+        for key in CONFIG_REQUIRED:
+            if key not in cfg:
+                raise ValueError(f"{args.config}: missing required key {key!r}")
+        for key in sorted(set(cfg) - set(CONFIG_REQUIRED + CONFIG_OPTIONAL)):
+            raise ValueError(f"{args.config}: unknown key {key!r}")
         scenario = cfg["scenario"]
         n = int(cfg["n"])
         m = cfg.get("m")

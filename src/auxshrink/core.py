@@ -44,9 +44,18 @@ def _as_vector(x, name: str) -> np.ndarray:
     return arr
 
 
+def _finite_vector(x, name: str) -> np.ndarray:
+    arr = _as_vector(x, name)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{name} is not finite at index {i}: {arr[i]}")
+    return arr
+
+
 @dataclass(frozen=True)
 class DataBatch:
-    """One observed problem instance.
+    """One observed problem instance; every given field must be finite.
 
     y       primary statistics, one per coordinate
     sigma   known noise standard deviations, all > 0
@@ -62,9 +71,9 @@ class DataBatch:
     xi: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        y = _as_vector(self.y, "y")
-        sigma = _as_vector(self.sigma, "sigma")
-        s = _as_vector(self.s, "s")
+        y = _finite_vector(self.y, "y")
+        sigma = _finite_vector(self.sigma, "sigma")
+        s = _finite_vector(self.s, "s")
         if y.size < 1:
             raise ValueError("batch must contain at least one coordinate")
         if sigma.shape != y.shape or s.shape != y.shape:
@@ -77,7 +86,7 @@ class DataBatch:
         for name in ("theta", "xi"):
             val = getattr(self, name)
             if val is not None:
-                val = _as_vector(val, name)
+                val = _finite_vector(val, name)
                 if val.shape != y.shape:
                     raise ValueError(f"{name} must have length {y.size}")
                 object.__setattr__(self, name, val)

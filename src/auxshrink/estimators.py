@@ -10,7 +10,9 @@ realized loss instead of SURE.
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
+import functools
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,11 +22,18 @@ from .core import (
     HyperParams,
     apply_estimator,
     loss,
-    soft_estimate,
     sure,
-    universal_threshold,
 )
-from .tuner import SearchConfig, tau_grid, threshold_candidates
+from .tuner import (
+    SearchConfig,
+    _breakpoint_vectors,
+    _min_loss_threshold,
+    _screen_group,
+    _search,
+    _SortedBatch,
+    _sure_group,
+    tau_grid,
+)
 
 __all__ = [
     "fit_auxscr",
@@ -34,8 +43,17 @@ __all__ = [
 ]
 
 
-def _prefix(x: np.ndarray) -> np.ndarray:
-    return np.concatenate([[0.0], np.cumsum(x)])
+def _scored_fit(batch: DataBatch, hp: HyperParams, sizes: np.ndarray, name: str) -> FitResult:
+    """The estimate of ``hp`` on ``batch`` with its SURE and, given theta, its loss."""
+    theta_hat = apply_estimator(batch, hp)
+    return FitResult(
+        theta_hat=theta_hat,
+        hp=hp,
+        group_sizes=sizes,
+        sure_value=sure(batch, hp),
+        loss_value=loss(batch.theta, theta_hat) if batch.theta is not None else None,
+        estimator_name=name,
+    )
 
 
 def fit_auxscr(batch: DataBatch, mn_factor: float = 50.0) -> FitResult:
@@ -46,153 +64,21 @@ def fit_auxscr(batch: DataBatch, mn_factor: float = 50.0) -> FitResult:
     group 2 gets a pure SURE-fitted threshold. The cutoff tau is searched
     over the interior grid on |S| extended by 0 (screen nothing) and
     max |S| (screen everything), minimizing the same SURE criterion.
+
+    The hyperparameters split on |S|, so the estimate and the SURE are those
+    of the batch whose auxiliary sequence is |S|.
     """
     abs_s = np.abs(batch.s)
     grid = tau_grid(abs_s, mn_factor)
     tau_cands = np.unique(np.concatenate([[0.0], grid, [float(abs_s.max())]]))
-
-    n = batch.n
-    t_n = universal_threshold(n)
-    z = np.abs(batch.y) / batch.sigma
-    order = np.argsort(z, kind="stable")
-    zs = z[order]
-    s2s = batch.sigma[order] ** 2
-    aux = abs_s[order]
-    s2_total = float(s2s.sum())
-
-    best = None
-    for tau in tau_cands:
-        mask1 = aux <= tau
-        n1 = int(mask1.sum())
-        n2 = n - n1
-        if n1:
-            z1 = zs[mask1]
-            s21 = s2s[mask1]
-            t1 = float(z1[-1])
-            # every group-1 magnitude is <= t1, so the term simplifies
-            g1 = float((s21 * z1**2).sum() - 2.0 * s21.sum())
-        else:
-            t1, g1 = 0.0, 0.0
-        if n2:
-            z2 = zs[~mask1]
-            s22 = s2s[~mask1]
-            cands = threshold_candidates(z2, t_n)
-            p0 = _prefix(s22)
-            p2 = _prefix(s22 * z2**2)
-            j = np.searchsorted(z2, cands, side="right")
-            vals = cands**2 * (p0[-1] - p0[j]) + p2[j] - 2.0 * p0[j]
-            i = int(np.argmin(vals))
-            t2, g2 = float(cands[i]), float(vals[i])
-        else:
-            t2, g2 = 0.0, 0.0
-        val = (s2_total + g1 + g2) / n
-        if best is None or val < best[0]:
-            best = (val, float(tau), t1, t2, n1, n2)
-
-    _, tau_star, t1, t2, n1, n2 = best
-    screened = abs_s <= tau_star
-    t_per = np.where(screened, t1, t2)
-    theta_hat = soft_estimate(batch.y, batch.sigma, t_per)
-    theta_hat = np.where(screened, 0.0, theta_hat)
-
-    s2 = batch.sigma**2
-    zz = np.abs(batch.y) / batch.sigma
-    inner = s2 * np.minimum(zz, t_per) ** 2 - 2.0 * s2 * (zz <= t_per)
-    sure_value = float((s2.sum() + inner.sum()) / n)
-
-    return FitResult(
-        theta_hat=theta_hat,
-        hp=HyperParams(tau=np.array([tau_star]), t=np.array([t1, t2])),
-        group_sizes=np.array([n1, n2]),
-        sure_value=sure_value,
-        loss_value=loss(batch.theta, theta_hat) if batch.theta is not None else None,
-        estimator_name="aux-scr",
+    ctx = _SortedBatch(batch, abs_s)
+    terms = [_screen_group, functools.partial(_sure_group, hybrid=False)]
+    _, tau, t, sizes = min(
+        _search(ctx, tau_cands[:, None], terms, base=ctx.s2_total, skip_empty=False),
+        key=itemgetter(0),
     )
-
-
-def _min_loss_threshold(
-    zs: np.ndarray,
-    q2s: np.ndarray,
-    ses: np.ndarray,
-    scs: np.ndarray,
-    s2s: np.ndarray,
-    t_n: float,
-) -> tuple[float, float]:
-    """Threshold minimizing the realized group loss over [0, t_n].
-
-    Arrays follow the group's z-ascending order: q2s = theta^2,
-    ses = (y-theta)^2, scs = sigma*sign(y)*(y-theta), s2s = sigma^2. Unlike
-    the SURE objective the loss is quadratic (not monotone) between order
-    statistics, so each segment's interior vertex joins the candidate set.
-    """
-    cands = threshold_candidates(zs, t_n)
-    pq = _prefix(q2s)
-    pse = _prefix(ses)
-    psc = _prefix(scs)
-    ps2 = _prefix(s2s)
-    j = np.searchsorted(zs, cands, side="right")
-    suf_se = pse[-1] - pse[j]
-    suf_sc = psc[-1] - psc[j]
-    suf_s2 = ps2[-1] - ps2[j]
-    vals = pq[j] + suf_se - 2.0 * cands * suf_sc + cands**2 * suf_s2
-
-    upper = np.append(cands[1:], t_n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = np.where(suf_s2 > 0, suf_sc / np.where(suf_s2 > 0, suf_s2, 1.0), np.nan)
-    ok = (suf_s2 > 0) & (vertex > cands) & (vertex < upper)
-    v = vertex[ok]
-    vvals = pq[j][ok] + suf_se[ok] - 2.0 * v * suf_sc[ok] + v**2 * suf_s2[ok]
-
-    points = np.concatenate([cands, v])
-    values = np.concatenate([vals, vvals])
-    srt = np.argsort(points, kind="stable")
-    points = points[srt]
-    values = values[srt]
-    i = int(np.argmin(values))
-    return float(points[i]), float(values[i])
-
-
-class _LossContext:
-    """Loss-objective analogue of the tuner's search context."""
-
-    def __init__(self, batch: DataBatch):
-        if batch.theta is None:
-            raise ValueError("oracle fits require batch.theta")
-        self.n = batch.n
-        self.t_n = universal_threshold(batch.n)
-        z = np.abs(batch.y) / batch.sigma
-        order = np.argsort(z, kind="stable")
-        self.zs = z[order]
-        theta = batch.theta[order]
-        y = batch.y[order]
-        sigma = batch.sigma[order]
-        self.q2s = theta**2
-        err = y - theta
-        self.ses = err**2
-        self.scs = sigma * np.sign(y) * err
-        self.s2s = sigma**2
-
-
-def _eval_loss_groups(
-    ctx: _LossContext, assign: np.ndarray, k: int, exclude_empty: bool
-) -> tuple[float, np.ndarray, np.ndarray] | None:
-    sizes = np.bincount(assign, minlength=k)
-    if exclude_empty and sizes.min() == 0:
-        return None
-    total = 0.0
-    ts = np.empty(k)
-    for g in range(k):
-        if sizes[g] == 0:
-            ts[g] = 0.0
-            continue
-        mask = assign == g
-        t_g, val = _min_loss_threshold(
-            ctx.zs[mask], ctx.q2s[mask], ctx.ses[mask], ctx.scs[mask],
-            ctx.s2s[mask], ctx.t_n,
-        )
-        ts[g] = t_g
-        total += val
-    return total / ctx.n, ts, sizes
+    hp = HyperParams(tau=tau, t=t)
+    return _scored_fit(dataclasses.replace(batch, s=abs_s), hp, sizes, "aux-scr")
 
 
 def fit_oracle_loss(batch: DataBatch, cfg: SearchConfig | None = None) -> FitResult:
@@ -202,38 +88,17 @@ def fit_oracle_loss(batch: DataBatch, cfg: SearchConfig | None = None) -> FitRes
         raise ValueError("fit_oracle_loss requires batch.theta")
     if cfg is None:
         cfg = SearchConfig()
-    ctx = _LossContext(batch)
-    aux_sorted = batch.s[np.argsort(np.abs(batch.y) / batch.sigma, kind="stable")]
-
-    best = None
-    if cfg.k == 1:
-        res = _eval_loss_groups(ctx, np.zeros(batch.n, dtype=np.intp), 1, False)
-        best = (res[0], np.empty(0), res[1], res[2])
-    else:
-        grid = tau_grid(batch.s, cfg.mn_factor)
-        for combo in itertools.combinations(range(grid.size), cfg.k - 1):
-            tau_vec = grid[list(combo)]
-            assign = np.searchsorted(tau_vec, aux_sorted, side="left")
-            res = _eval_loss_groups(ctx, assign, cfg.k, cfg.exclude_empty_groups)
-            if res is None:
-                continue
-            val, ts, sizes = res
-            if best is None or val < best[0]:
-                best = (val, tau_vec, ts, sizes)
-        if best is None:
-            raise ValueError(f"no feasible breakpoint candidate for K={cfg.k}")
-
-    loss_val, tau_best, ts_best, sizes_best = best
-    hp = HyperParams(tau=np.asarray(tau_best, dtype=float), t=ts_best)
-    theta_hat = apply_estimator(batch, hp)
-    return FitResult(
-        theta_hat=theta_hat,
-        hp=hp,
-        group_sizes=sizes_best,
-        sure_value=sure(batch, hp),
-        loss_value=loss(batch.theta, theta_hat),
-        estimator_name="oracle-loss",
+    ctx = _SortedBatch(batch, batch.s)
+    best = min(
+        _search(ctx, _breakpoint_vectors(batch.s, cfg.k, cfg.mn_factor),
+                [_min_loss_threshold] * cfg.k),
+        key=itemgetter(0),
+        default=None,
     )
+    if best is None:
+        raise ValueError(f"no feasible breakpoint candidate for K={cfg.k}")
+    _, tau, t, sizes = best
+    return _scored_fit(batch, HyperParams(tau=tau, t=t), sizes, "oracle-loss")
 
 
 def xi_split_candidates(xi: np.ndarray, cap: int | None = None) -> np.ndarray:
@@ -260,25 +125,18 @@ def fit_oracle_side(batch: DataBatch) -> FitResult:
     """
     if batch.theta is None or batch.xi is None:
         raise ValueError("fit_oracle_side requires batch.theta and batch.xi")
-    ctx = _LossContext(batch)
-    xi_sorted = batch.xi[np.argsort(np.abs(batch.y) / batch.sigma, kind="stable")]
-    cands = xi_split_candidates(batch.xi)
-
-    best = None
-    for tau in cands:
-        assign = (xi_sorted > tau).astype(np.intp)
-        res = _eval_loss_groups(ctx, assign, 2, False)
-        val, ts, sizes = res
-        if best is None or val < best[0]:
-            best = (val, float(tau), ts, sizes)
-
-    loss_val, tau_star, ts_best, sizes_best = best
-    t_per = np.where(batch.xi <= tau_star, ts_best[0], ts_best[1])
-    theta_hat = soft_estimate(batch.y, batch.sigma, t_per)
+    ctx = _SortedBatch(batch, batch.xi)
+    _, tau, t, sizes = min(
+        _search(ctx, xi_split_candidates(batch.xi)[:, None], [_min_loss_threshold] * 2,
+                skip_empty=False),
+        key=itemgetter(0),
+    )
+    hp = HyperParams(tau=tau, t=t)
+    theta_hat = apply_estimator(dataclasses.replace(batch, s=batch.xi), hp)
     return FitResult(
         theta_hat=theta_hat,
-        hp=HyperParams(tau=np.array([tau_star]), t=ts_best),
-        group_sizes=sizes_best,
+        hp=hp,
+        group_sizes=sizes,
         sure_value=None,
         loss_value=loss(batch.theta, theta_hat),
         estimator_name="oracle-side",

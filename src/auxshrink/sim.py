@@ -35,15 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DataBatch, universal_threshold
-from .estimators import (
-    _LossContext,
-    fit_auxscr,
-    fit_ejs,
-    fit_oracle_loss,
-    xi_split_candidates,
-)
-from .tuner import SearchConfig, fit_asus, fit_sureshrink
+from .core import DataBatch, HyperParams, apply_estimator, loss, partition, universal_threshold
+from .estimators import fit_auxscr, fit_ejs, fit_oracle_loss, xi_split_candidates
+from .tuner import SearchConfig, _loss_values, _prefix, _SortedBatch, fit_asus, fit_sureshrink
 
 __all__ = [
     "FAMILIES",
@@ -352,27 +346,14 @@ class _SideOracleAccumulator:
         self.n_batches = 0
 
     def add(self, batch: DataBatch) -> None:
-        ctx = _LossContext(batch)
-        order = np.argsort(np.abs(batch.y) / batch.sigma, kind="stable")
-        xi_z = batch.xi[order]
+        ctx = _SortedBatch(batch, batch.xi)
         for ti, tau in enumerate(self.tau_cands):
-            mask = xi_z <= tau
-            for g, sel in enumerate((mask, ~mask)):
-                if not sel.any():
-                    continue
-                zs = ctx.zs[sel]
-                pq = np.concatenate([[0.0], np.cumsum(ctx.q2s[sel])])
-                pse = np.concatenate([[0.0], np.cumsum(ctx.ses[sel])])
-                psc = np.concatenate([[0.0], np.cumsum(ctx.scs[sel])])
-                ps2 = np.concatenate([[0.0], np.cumsum(ctx.s2s[sel])])
-                j = np.searchsorted(zs, self.t_grid, side="right")
-                curve = (
-                    pq[j]
-                    + (pse[-1] - pse[j])
-                    - 2.0 * self.t_grid * (psc[-1] - psc[j])
-                    + self.t_grid**2 * (ps2[-1] - ps2[j])
-                )
-                self.acc[ti, g] += curve
+            lower = ctx.side <= tau
+            # an empty group's curve is zero and leaves its row unchanged
+            for g, sel in enumerate((lower, ~lower)):
+                j = np.searchsorted(ctx.zs[sel], self.t_grid, side="right")
+                prefixes = [_prefix(col[sel]) for col in ctx.loss_columns]
+                self.acc[ti, g] += _loss_values(prefixes, self.t_grid, j)
         self.n_batches += 1
 
     def minimize(self) -> tuple[float, float, float]:
@@ -387,15 +368,10 @@ class _SideOracleAccumulator:
         return best[1], best[2], best[3]
 
 
-def _oracle_loss_at(batch: DataBatch, tau: float, t1: float, t2: float):
+def _oracle_loss_at(batch: DataBatch, hp: HyperParams):
     """Realized loss and group sizes of the fixed side-oracle rule."""
-    from .core import loss as _loss
-    from .core import soft_estimate
-
-    mask = batch.xi <= tau
-    t_per = np.where(mask, t1, t2)
-    theta_hat = soft_estimate(batch.y, batch.sigma, t_per)
-    return _loss(batch.theta, theta_hat), np.array([int(mask.sum()), int((~mask).sum())])
+    theta_hat = apply_estimator(dataclasses.replace(batch, s=batch.xi), hp)
+    return loss(batch.theta, theta_hat), partition(batch.xi, hp.tau).sizes
 
 
 _FITTED_ESTIMATORS = ("sureshrink", "asus", "aux-scr", "ejs", "oracle-loss")
@@ -482,11 +458,12 @@ def run_risk_experiment(
 
     if want_oracle:
         tau_star, t1, t2 = oracle_acc.minimize()
+        hp = HyperParams(tau=[tau_star], t=[t1, t2])
         or_losses = []
         or_sizes = []
         for r in range(n_reps):
             batch = generate(dataclasses.replace(spec, seed=child_seeds[r]))
-            lv, sz = _oracle_loss_at(batch, tau_star, t1, t2)
+            lv, sz = _oracle_loss_at(batch, hp)
             or_losses.append(lv)
             or_sizes.append(sz)
         rr = _summarize("oracle", or_losses, None, None, or_sizes)

@@ -1,5 +1,12 @@
 """Hyperparameter search: breakpoint grids, per-group thresholds, K selection.
 
+Every grouped fit in the package runs on the kernel and the driver here: a
+batch sorted once by z = |y|/sigma (``_SortedBatch``), group terms that
+minimize prefix sums over a group's z-sorted coordinates (SURE, realized
+loss, screening), and ``_search``, which splits on a side sequence (S, |S|
+or the latent xi) and yields one (value, tau, t, sizes) per breakpoint
+vector. Fits keep the first minimum, so ties go to the earliest candidate.
+
 The search enumerates sorted (K-1)-subsets of an equi-spaced breakpoint grid
 over the auxiliary sequence. For each candidate grouping the per-group
 threshold is chosen on the group's order statistics: between consecutive
@@ -11,10 +18,11 @@ moment is too close to pure noise for SURE to be trustworthy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,20 +54,15 @@ __all__ = [
 class SearchConfig:
     """Options shared by the grouping searches.
 
-    k                      number of groups
-    mn_factor              grid density: m_n = ceil(mn_factor * ln n)
-    hybrid                 apply the sparse-regime fallback to t_n per group
-    exclude_empty_groups   skip breakpoint candidates that leave a group empty
-    hybrid_local_bound     use the group size instead of the global n in the
-                           hybrid decision bound (off by default; the bound is
-                           n^{-1/2} (ln n)^{3/2} with global n)
+    k            number of groups
+    mn_factor    grid density: m_n = ceil(mn_factor * ln n)
+    hybrid       apply the sparse-regime fallback to t_n per group; the
+                 fallback bound is n^{-1/2} (ln n)^{3/2} with the global n
     """
 
     k: int = 2
     mn_factor: float = 50.0
     hybrid: bool = True
-    exclude_empty_groups: bool = True
-    hybrid_local_bound: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -119,16 +122,38 @@ def threshold_candidates(z, t_n: float) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], inside, [t_n]]))
 
 
+def _prefix(x: np.ndarray) -> np.ndarray:
+    """Prefix sums with a leading zero: p[j] = x[0] + ... + x[j-1]."""
+    return np.concatenate([[0.0], np.cumsum(x)])
+
+
 def _objective_values(zs: np.ndarray, s2s: np.ndarray, t_values: np.ndarray) -> np.ndarray:
     """Group SURE term sum s2 (z ^ t)^2 - 2 s2 I(z <= t) at each t.
 
     ``zs`` must be sorted ascending with ``s2s`` aligned.
     """
-    p0 = np.concatenate([[0.0], np.cumsum(s2s)])
-    p2 = np.concatenate([[0.0], np.cumsum(s2s * zs * zs)])
+    p0 = _prefix(s2s)
+    p2 = _prefix(s2s * zs * zs)
     j = np.searchsorted(zs, t_values, side="right")
     tail = p0[-1] - p0[j]
     return t_values * t_values * tail + p2[j] - 2.0 * p0[j]
+
+
+def _loss_values(prefixes: list, t_values: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Group loss sum (theta_hat - theta)^2 of soft thresholding at each t.
+
+    ``prefixes`` are the prefix sums of theta^2, (y-theta)^2,
+    sigma*sign(y)*(y-theta) and sigma^2 over the group's z-ascending
+    coordinates; ``j`` counts the group's z values <= each t. Coordinates
+    at or below t contribute theta^2, the others (y - theta - sigma t sign y)^2.
+    """
+    pq, pse, psc, ps2 = prefixes
+    return (
+        pq[j]
+        + (pse[-1] - pse[j])
+        - 2.0 * t_values * (psc[-1] - psc[j])
+        + t_values**2 * (ps2[-1] - ps2[j])
+    )
 
 
 def _min_objective(zs: np.ndarray, s2s: np.ndarray, t_n: float) -> tuple[float, float]:
@@ -139,33 +164,15 @@ def _min_objective(zs: np.ndarray, s2s: np.ndarray, t_n: float) -> tuple[float, 
     return float(cands[i]), float(vals[i])
 
 
-def _hybrid_fires(
-    capped_sum: float, size: int, n_global: int, local_bound: bool
-) -> bool:
+def _hybrid_fires(capped_sum: float, size: int, n: int) -> bool:
+    """Whether a group looks like pure noise: its mean of (z^2 ^ t_n^2)
+    exceeds 1 by at most n^{-1/2} (ln n)^{3/2}, n the global size."""
     stat = capped_sum / size - 1.0
-    n_ref = size if local_bound else n_global
-    bound = n_ref ** (-0.5) * math.log(n_ref) ** 1.5 if n_ref > 1 else 0.0
+    bound = n ** (-0.5) * math.log(n) ** 1.5 if n > 1 else 0.0
     return stat <= bound
 
 
-def _fit_sorted_group(
-    zs: np.ndarray,
-    s2s: np.ndarray,
-    capped_sum: float,
-    n_global: int,
-    t_n: float,
-    hybrid: bool,
-    local_bound: bool,
-) -> tuple[float, float]:
-    """Threshold and SURE term for one nonempty group (zs sorted ascending)."""
-    if hybrid and _hybrid_fires(capped_sum, zs.size, n_global, local_bound):
-        val = _objective_values(zs, s2s, np.array([t_n]))[0]
-        return t_n, float(val)
-    return _min_objective(zs, s2s, t_n)
-
-
-def fit_group_threshold(z, sigma, n_global: int, hybrid: bool = True,
-                        hybrid_local_bound: bool = False) -> float:
+def fit_group_threshold(z, sigma, n_global: int, hybrid: bool = True) -> float:
     """Threshold for a single group of standardized magnitudes ``z``.
 
     Applies the hybrid rule first: if the group's average of (z^2 ^ t_n^2)
@@ -182,76 +189,143 @@ def fit_group_threshold(z, sigma, n_global: int, hybrid: bool = True,
         raise ValueError("z and sigma must have equal length")
     order = np.argsort(z, kind="stable")
     zs = z[order]
-    s2s = sigma[order] ** 2
     t_n = universal_threshold(n_global)
     capped_sum = float(np.minimum(zs * zs, t_n * t_n).sum())
-    t, _ = _fit_sorted_group(zs, s2s, capped_sum, n_global, t_n, hybrid,
-                             hybrid_local_bound)
-    return t
+    if hybrid and _hybrid_fires(capped_sum, zs.size, n_global):
+        return t_n
+    return _min_objective(zs, sigma[order] ** 2, t_n)[0]
 
 
-class _SearchContext:
-    """Batch pre-sorted by standardized magnitude, shared across candidates."""
+class _SortedBatch:
+    """A batch sorted by standardized magnitude, with the side sequence the
+    groups split on. The loss columns are None when the batch lacks theta."""
 
-    def __init__(self, batch: DataBatch):
+    def __init__(self, batch: DataBatch, side: np.ndarray):
         self.n = batch.n
         self.t_n = universal_threshold(batch.n)
         z = np.abs(batch.y) / batch.sigma
         order = np.argsort(z, kind="stable")
         self.zs = z[order]
-        self.s2s = batch.sigma[order] ** 2
-        self.aux = batch.s[order]
+        sigma = batch.sigma[order]
+        self.s2s = sigma**2
+        self.side = side[order]
         self.capped = np.minimum(self.zs**2, self.t_n**2)
         self.s2_total = float(self.s2s.sum())
+        self.loss_columns = None
+        if batch.theta is not None:
+            y = batch.y[order]
+            theta = batch.theta[order]
+            err = y - theta
+            self.loss_columns = (theta**2, err**2, sigma * np.sign(y) * err, self.s2s)
 
 
-def _eval_tau_candidate(
-    ctx: _SearchContext, tau_vec: np.ndarray, cfg: SearchConfig
-) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
-    """Fit per-group thresholds for one breakpoint vector.
+def _sure_group(ctx: _SortedBatch, sel, hybrid: bool) -> tuple[float, float]:
+    """SURE-fitted threshold and SURE term of one group, hybrid rule first.
+    Without the hybrid rule an empty group gives (0, 0)."""
+    zs = ctx.zs[sel]
+    s2s = ctx.s2s[sel]
+    if hybrid and _hybrid_fires(float(ctx.capped[sel].sum()), zs.size, ctx.n):
+        return ctx.t_n, float(_objective_values(zs, s2s, np.array([ctx.t_n]))[0])
+    return _min_objective(zs, s2s, ctx.t_n)
 
-    Returns (sure_value, thresholds, sizes) or None when the candidate is
-    skipped for creating an empty group.
+
+def _screen_group(ctx: _SortedBatch, sel) -> tuple[float, float]:
+    """Screened group: its threshold is its largest magnitude, so every
+    estimate is zero and the SURE term reduces to sum s2 z^2 - 2 s2."""
+    zs = ctx.zs[sel]
+    s2s = ctx.s2s[sel]
+    t = float(zs[-1]) if zs.size else 0.0
+    return t, float((s2s * zs**2).sum() - 2.0 * s2s.sum())
+
+
+def _min_loss_threshold(ctx: _SortedBatch, sel) -> tuple[float, float]:
+    """Threshold minimizing the realized group loss over [0, t_n].
+
+    Unlike the SURE objective the loss is quadratic (not monotone) between
+    order statistics, so each segment's interior vertex joins the candidate
+    set. An empty group gives (0, 0).
     """
-    k = tau_vec.size + 1
-    assign = np.searchsorted(tau_vec, ctx.aux, side="left")
-    sizes = np.bincount(assign, minlength=k)
-    if cfg.exclude_empty_groups and sizes.min() == 0:
-        return None
-    total = ctx.s2_total
-    ts = np.empty(k)
-    for g in range(k):
-        if sizes[g] == 0:
-            # estimator value is irrelevant on an empty group
-            ts[g] = ctx.t_n if cfg.hybrid else 0.0
+    zs = ctx.zs[sel]
+    cands = threshold_candidates(zs, ctx.t_n)
+    pre = [_prefix(col[sel]) for col in ctx.loss_columns]
+    j = np.searchsorted(zs, cands, side="right")
+    suf_sc = pre[2][-1] - pre[2][j]
+    suf_s2 = pre[3][-1] - pre[3][j]
+    upper = np.append(cands[1:], ctx.t_n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.where(suf_s2 > 0, suf_sc / np.where(suf_s2 > 0, suf_s2, 1.0), np.nan)
+    ok = (suf_s2 > 0) & (vertex > cands) & (vertex < upper)
+    # no order statistic lies strictly inside a segment, so a vertex counts
+    # the same z values as the segment's left end
+    points = np.concatenate([cands, vertex[ok]])
+    values = _loss_values(pre, points, np.concatenate([j, j[ok]]))
+    srt = np.argsort(points, kind="stable")
+    i = int(np.argmin(values[srt]))
+    return float(points[srt][i]), float(values[srt][i])
+
+
+def _search(ctx: _SortedBatch, breakpoints, terms: list, base: float = 0.0,
+            skip_empty: bool = True):
+    """Yield (value, tau, t, sizes) for each breakpoint vector ``tau``.
+
+    Group g holds the side values in (tau[g-1], tau[g]]; ``terms[g](ctx, mask)``
+    gives its threshold and objective term, and value = (base + sum of the
+    terms) / n. With ``skip_empty`` a vector that leaves a group empty is skipped.
+    """
+    k = len(terms)
+    for tau in breakpoints:
+        if k == 2:
+            # one comparison splits on a single breakpoint, well below the
+            # cost of searchsorted plus bincount
+            upper = ctx.side > tau[0]
+            n_upper = int(np.count_nonzero(upper))
+            sizes = np.array([ctx.n - n_upper, n_upper])
+            masks = (~upper, upper)
+        else:
+            assign = np.searchsorted(tau, ctx.side, side="left")
+            sizes = np.bincount(assign, minlength=k)
+            masks = (assign == g for g in range(k))
+        if skip_empty and sizes.min() == 0:
             continue
-        mask = assign == g
-        zs_g = ctx.zs[mask]
-        s2_g = ctx.s2s[mask]
-        capped_sum = float(ctx.capped[mask].sum())
-        t_g, val = _fit_sorted_group(
-            zs_g, s2_g, capped_sum, ctx.n, ctx.t_n, cfg.hybrid,
-            cfg.hybrid_local_bound,
+        ts = np.empty(k)
+        total = base
+        for g, (term, mask) in enumerate(zip(terms, masks)):
+            ts[g], val = term(ctx, mask)
+            total += val
+        yield total / ctx.n, tau, ts, sizes
+
+
+def _breakpoint_vectors(s: np.ndarray, k: int, mn_factor: float):
+    """Every sorted (K-1)-subset of the breakpoint grid on ``s``, in
+    lexicographic order; a single empty vector for K = 1."""
+    grid = tau_grid(s, mn_factor) if k > 1 else np.empty(0)
+    for combo in itertools.combinations(range(grid.size), k - 1):
+        yield grid[list(combo)]
+
+
+def _sure_search(batch: DataBatch, k: int, mn_factor: float, hybrid: bool):
+    """The driver over the SURE candidates of a K-group fit on ``batch.s``."""
+    ctx = _SortedBatch(batch, batch.s)
+    term = functools.partial(_sure_group, hybrid=hybrid)
+    return _search(ctx, _breakpoint_vectors(batch.s, k, mn_factor), [term] * k,
+                   base=ctx.s2_total)
+
+
+def _fit_sure(batch: DataBatch, cfg: SearchConfig, name: str) -> FitResult:
+    best = min(_sure_search(batch, cfg.k, cfg.mn_factor, cfg.hybrid),
+               key=itemgetter(0), default=None)
+    if best is None:
+        raise ValueError(
+            f"no feasible breakpoint candidate for K={cfg.k}; "
+            "the auxiliary sequence cannot support that many nonempty groups"
         )
-        ts[g] = t_g
-        total += val
-    return total / ctx.n, ts, sizes
-
-
-def _single_group_fit(batch: DataBatch, cfg: SearchConfig, name: str) -> FitResult:
-    t = fit_group_threshold(
-        np.abs(batch.y) / batch.sigma,
-        batch.sigma,
-        batch.n,
-        hybrid=cfg.hybrid,
-        hybrid_local_bound=cfg.hybrid_local_bound,
-    )
-    hp = HyperParams(tau=np.empty(0), t=np.array([t]))
+    _, tau, t, sizes = best
+    hp = HyperParams(tau=tau, t=t)
     theta_hat = apply_estimator(batch, hp)
     return FitResult(
         theta_hat=theta_hat,
         hp=hp,
-        group_sizes=np.array([batch.n]),
+        group_sizes=sizes,
         sure_value=sure(batch, hp),
         loss_value=loss(batch.theta, theta_hat) if batch.theta is not None else None,
         estimator_name=name,
@@ -260,8 +334,7 @@ def _single_group_fit(batch: DataBatch, cfg: SearchConfig, name: str) -> FitResu
 
 def fit_sureshrink(batch: DataBatch, hybrid: bool = True) -> FitResult:
     """Single-group fit: one SURE-tuned threshold with the hybrid fallback."""
-    cfg = SearchConfig(k=1, hybrid=hybrid)
-    return _single_group_fit(batch, cfg, "sureshrink")
+    return _fit_sure(batch, SearchConfig(k=1, hybrid=hybrid), "sureshrink")
 
 
 def fit_asus(batch: DataBatch, cfg: SearchConfig | None = None) -> FitResult:
@@ -273,38 +346,7 @@ def fit_asus(batch: DataBatch, cfg: SearchConfig | None = None) -> FitResult:
     replace the incumbent, so ties resolve to the lexicographically
     smallest hyperparameters.
     """
-    if cfg is None:
-        cfg = SearchConfig()
-    if cfg.k == 1:
-        return _single_group_fit(batch, cfg, "asus")
-
-    grid = tau_grid(batch.s, cfg.mn_factor)
-    ctx = _SearchContext(batch)
-    best: Optional[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = None
-    for combo in itertools.combinations(range(grid.size), cfg.k - 1):
-        tau_vec = grid[list(combo)]
-        res = _eval_tau_candidate(ctx, tau_vec, cfg)
-        if res is None:
-            continue
-        val, ts, sizes = res
-        if best is None or val < best[0]:
-            best = (val, tau_vec, ts, sizes)
-    if best is None:
-        raise ValueError(
-            f"no feasible breakpoint candidate for K={cfg.k}; "
-            "the auxiliary sequence cannot support that many nonempty groups"
-        )
-    _, tau_best, ts_best, sizes_best = best
-    hp = HyperParams(tau=tau_best, t=ts_best)
-    theta_hat = apply_estimator(batch, hp)
-    return FitResult(
-        theta_hat=theta_hat,
-        hp=hp,
-        group_sizes=sizes_best,
-        sure_value=sure(batch, hp),
-        loss_value=loss(batch.theta, theta_hat) if batch.theta is not None else None,
-        estimator_name="asus",
-    )
+    return _fit_sure(batch, SearchConfig() if cfg is None else cfg, "asus")
 
 
 def sweep_tau(batch: DataBatch, cfg: SearchConfig | None = None) -> SweepCurve:
@@ -318,17 +360,10 @@ def sweep_tau(batch: DataBatch, cfg: SearchConfig | None = None) -> SweepCurve:
         cfg = SearchConfig(k=2)
     if cfg.k != 2:
         raise ValueError("sweep_tau is defined for K = 2")
-    grid = tau_grid(batch.s, cfg.mn_factor)
-    ctx = _SearchContext(batch)
     taus, sures, t1s, t2s = [], [], [], []
-    for tau in grid:
-        res = _eval_tau_candidate(ctx, np.array([tau]), cfg)
-        if res is None:
-            continue
-        _, ts, _ = res
-        hp = HyperParams(tau=np.array([tau]), t=ts)
-        taus.append(tau)
-        sures.append(sure(batch, hp))
+    for _, tau, ts, _ in _sure_search(batch, 2, cfg.mn_factor, cfg.hybrid):
+        taus.append(tau[0])
+        sures.append(sure(batch, HyperParams(tau=tau, t=ts)))
         t1s.append(ts[0])
         t2s.append(ts[1])
     if not taus:

@@ -63,6 +63,25 @@ class TestReadBatchCsv:
         batch, _ = read_batch_csv(path)
         assert batch.xi is not None and batch.theta is not None
 
+    @pytest.mark.parametrize("column", ["xi", "theta"])
+    def test_partly_filled_latent_column_names_first_empty_line(self, tmp_path, column):
+        path = tmp_path / "b.csv"
+        rows = [["a", "1.0", "1.0", "0.5", "0.0", "0.9"] for _ in range(4)]
+        col = 4 if column == "xi" else 5
+        rows[1][col] = ""
+        rows[3][col] = ""
+        write_batch_csv(path, rows, header=("id", "y", "sigma", "s", "xi", "theta"))
+        with pytest.raises(ValueError, match=rf":3: column '{column}' is empty"):
+            read_batch_csv(path)
+
+    def test_entirely_empty_latent_column_is_dropped(self, tmp_path):
+        path = tmp_path / "b.csv"
+        rows = [("a", "1.0", "1.0", "0.5", "", "0.9"), ("b", "2.0", "1.0", "0.1", "", "1.1")]
+        write_batch_csv(path, rows, header=("id", "y", "sigma", "s", "xi", "theta"))
+        batch, _ = read_batch_csv(path)
+        assert batch.xi is None
+        np.testing.assert_array_equal(batch.theta, [0.9, 1.1])
+
 
 class TestEstimate:
     def run(self, toy_csv, tmp_path, *extra):
@@ -309,6 +328,26 @@ class TestSimulate:
         report = json.loads(out.read_text())
         assert report["scenario"] == "two-sample-s1"
         assert set(report["estimators"]) == {"sureshrink", "asus"}
+
+
+    @pytest.mark.parametrize("missing", ["scenario", "n", "reps", "seed"])
+    def test_config_missing_key_is_named(self, tmp_path, capsys, missing):
+        cfg = {"scenario": "toy", "n": 50, "reps": 1, "seed": 1}
+        del cfg[missing]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(path), "--output", str(tmp_path / "y.json")])
+        assert rc == 1
+        assert f"missing required key '{missing}'" in capsys.readouterr().err
+        assert not (tmp_path / "y.json").exists()
+
+    def test_config_unknown_key_is_named(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "toy", "n": 50, "reps": 1, "seed": 1, "k": 3}))
+        rc = main(["simulate", "--config", str(path), "--output", str(tmp_path / "y.json")])
+        assert rc == 1
+        assert "unknown key 'k'" in capsys.readouterr().err
+        assert not (tmp_path / "y.json").exists()
 
 
 class TestTheoryCommand:

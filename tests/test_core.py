@@ -208,6 +208,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             DataBatch(y=[1.0], sigma=[1.0], s=[1.0], theta=[1.0, 2.0])
 
+    @pytest.mark.parametrize("field", ["y", "sigma", "s", "theta", "xi"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_batch_rejects_non_finite_value_naming_field_and_index(self, field, bad):
+        fields = {name: np.ones(5) for name in ("y", "sigma", "s", "theta", "xi")}
+        fields[field][3] = bad
+        with pytest.raises(ValueError, match=rf"^{field} is not finite at index 3: "):
+            DataBatch(**fields)
+
+    def test_batch_reports_first_non_finite_index(self):
+        with pytest.raises(ValueError, match="index 1:"):
+            DataBatch(y=[0.0, np.nan, np.inf], sigma=np.ones(3), s=np.ones(3))
+
     def test_hyperparams_reject_bad_shapes(self):
         with pytest.raises(ValueError):
             HyperParams(tau=[1.0], t=[0.5])  # tau must be K-1 long
