@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from operator import itemgetter
 
 import numpy as np
 
@@ -26,10 +25,12 @@ from .core import (
 )
 from .tuner import (
     SearchConfig,
-    _breakpoint_vectors,
+    _best,
+    _Cut,
+    _fit_grid,
+    _infeasible,
     _min_loss_threshold,
     _screen_group,
-    _search,
     _SortedBatch,
     _sure_group,
     tau_grid,
@@ -72,11 +73,9 @@ def fit_auxscr(batch: DataBatch, mn_factor: float = 50.0) -> FitResult:
     grid = tau_grid(abs_s, mn_factor)
     tau_cands = np.unique(np.concatenate([[0.0], grid, [float(abs_s.max())]]))
     ctx = _SortedBatch(batch, abs_s)
-    terms = [_screen_group, functools.partial(_sure_group, hybrid=False)]
-    _, tau, t, sizes = min(
-        _search(ctx, tau_cands[:, None], terms, base=ctx.s2_total, skip_empty=False),
-        key=itemgetter(0),
-    )
+    cut = _Cut(ctx, tau_cands, _screen_group, functools.partial(_sure_group, hybrid=False),
+               ctx.s2_total, skip_empty=False)
+    _, tau, t, sizes = _best(cut, 2)
     hp = HyperParams(tau=tau, t=t)
     return _scored_fit(dataclasses.replace(batch, s=abs_s), hp, sizes, "aux-scr")
 
@@ -88,15 +87,11 @@ def fit_oracle_loss(batch: DataBatch, cfg: SearchConfig | None = None) -> FitRes
         raise ValueError("fit_oracle_loss requires batch.theta")
     if cfg is None:
         cfg = SearchConfig()
-    ctx = _SortedBatch(batch, batch.s)
-    best = min(
-        _search(ctx, _breakpoint_vectors(batch.s, cfg.k, cfg.mn_factor),
-                [_min_loss_threshold] * cfg.k),
-        key=itemgetter(0),
-        default=None,
-    )
+    grid = _fit_grid(batch.s, cfg.k, cfg.mn_factor)
+    best = _best(_Cut(_SortedBatch(batch, batch.s, loss=True), grid, _min_loss_threshold,
+                      _min_loss_threshold, 0.0), cfg.k)
     if best is None:
-        raise ValueError(f"no feasible breakpoint candidate for K={cfg.k}")
+        raise _infeasible(cfg.k)
     _, tau, t, sizes = best
     return _scored_fit(batch, HyperParams(tau=tau, t=t), sizes, "oracle-loss")
 
@@ -104,10 +99,14 @@ def fit_oracle_loss(batch: DataBatch, cfg: SearchConfig | None = None) -> FitRes
 def xi_split_candidates(xi: np.ndarray, cap: int | None = None) -> np.ndarray:
     """Split points for grouping on the latent sequence: midpoints between
     consecutive distinct values. Optionally thinned to at most ``cap``
-    candidates, always keeping the outermost gaps."""
+    candidates, always keeping the outermost gaps. A constant latent
+    sequence has no split and is rejected."""
     uniq = np.unique(xi)
     if uniq.size < 2:
-        return uniq.astype(float)
+        raise ValueError(
+            "latent sequence xi is degenerate (all values equal); "
+            "it induces no grouping"
+        )
     mids = 0.5 * (uniq[:-1] + uniq[1:])
     if cap is not None and mids.size > cap:
         idx = np.unique(np.linspace(0, mids.size - 1, cap).round().astype(int))
@@ -125,12 +124,9 @@ def fit_oracle_side(batch: DataBatch) -> FitResult:
     """
     if batch.theta is None or batch.xi is None:
         raise ValueError("fit_oracle_side requires batch.theta and batch.xi")
-    ctx = _SortedBatch(batch, batch.xi)
-    _, tau, t, sizes = min(
-        _search(ctx, xi_split_candidates(batch.xi)[:, None], [_min_loss_threshold] * 2,
-                skip_empty=False),
-        key=itemgetter(0),
-    )
+    _, tau, t, sizes = _best(_Cut(_SortedBatch(batch, batch.xi, loss=True),
+                                  xi_split_candidates(batch.xi), _min_loss_threshold,
+                                  _min_loss_threshold, 0.0, skip_empty=False), 2)
     hp = HyperParams(tau=tau, t=t)
     theta_hat = apply_estimator(dataclasses.replace(batch, s=batch.xi), hp)
     return FitResult(

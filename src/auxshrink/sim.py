@@ -340,13 +340,11 @@ class _SideOracleAccumulator:
         self.t_n = universal_threshold(batch0.n)
         self.t_grid = np.linspace(0.0, self.t_n, t_points)
         self.tau_cands = xi_split_candidates(batch0.xi, cap=tau_cap)
-        if self.tau_cands.size == 0:
-            raise ValueError("latent sequence is empty")
         self.acc = np.zeros((self.tau_cands.size, 2, t_points))
         self.n_batches = 0
 
     def add(self, batch: DataBatch) -> None:
-        ctx = _SortedBatch(batch, batch.xi)
+        ctx = _SortedBatch(batch, batch.xi, loss=True)
         for ti, tau in enumerate(self.tau_cands):
             lower = ctx.side <= tau
             # an empty group's curve is zero and leaves its row unchanged

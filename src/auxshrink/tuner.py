@@ -1,28 +1,35 @@
 """Hyperparameter search: breakpoint grids, per-group thresholds, K selection.
 
-Every grouped fit in the package runs on the kernel and the driver here: a
-batch sorted once by z = |y|/sigma (``_SortedBatch``), group terms that
-minimize prefix sums over a group's z-sorted coordinates (SURE, realized
-loss, screening), and ``_search``, which splits on a side sequence (S, |S|
-or the latent xi) and yields one (value, tau, t, sizes) per breakpoint
-vector. Fits keep the first minimum, so ties go to the earliest candidate.
+Every grouped fit in the package runs on the kernel and the search here. A
+batch is sorted once by z = |y|/sigma (``_SortedBatch``). A breakpoint grid
+on a side sequence (S, |S| or the latent xi) cuts it into cells, cell c
+holding the side values in (grid[c-1], grid[c]], so every group of a K-group
+fit is a run of contiguous cells and the fit's objective is a sum of
+independent group terms. ``_group_terms`` evaluates the term of the group
+spanning cells a..b for many (a, b) at once (SURE, realized loss or
+screening), each from prefix sums over the group's z-sorted coordinates.
+``_search`` combines these interval terms over cells into the exact
+minimizer for every K, as in optimal partitioning (Jackson et al. 2005, "An
+algorithm for optimal partitioning of data on an interval"): a forward pass
+finds the least objective, a backward pass bounds what each partial sum may
+be and still reach it, and a greedy pass then picks the lexicographically
+smallest breakpoints. Its cost grows with the square of the number of
+nonempty cells, not with the C(m, K-1) breakpoint vectors.
 
-The search enumerates sorted (K-1)-subsets of an equi-spaced breakpoint grid
-over the auxiliary sequence. For each candidate grouping the per-group
-threshold is chosen on the group's order statistics: between consecutive
-standardized magnitudes the SURE objective is nondecreasing in t, so its
-minimum over [0, t_n] is attained on {0} | {z_i <= t_n} | {t_n}. A hybrid
-fallback returns the universal threshold for groups whose empirical second
-moment is too close to pure noise for SURE to be trustworthy.
+For each group the threshold is chosen on the group's order statistics:
+between consecutive standardized magnitudes the SURE objective is
+nondecreasing in t, so its minimum over [0, t_n] is attained on
+{0} | {z_i <= t_n} | {t_n}. A hybrid fallback returns the universal
+threshold for groups whose empirical second moment is too close to pure
+noise for SURE to be trustworthy.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -48,6 +55,10 @@ __all__ = [
     "sweep_tau",
     "select_k",
 ]
+
+# elements of one (groups x coordinates) temporary in _group_terms; the
+# working set of the search stays on this budget whatever n is
+_CHUNK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -123,50 +134,77 @@ def threshold_candidates(z, t_n: float) -> np.ndarray:
 
 
 def _prefix(x: np.ndarray) -> np.ndarray:
-    """Prefix sums with a leading zero: p[j] = x[0] + ... + x[j-1]."""
-    return np.concatenate([[0.0], np.cumsum(x)])
+    """Prefix sums along the last axis with a leading zero:
+    p[..., j] = x[..., 0] + ... + x[..., j-1], added in that order."""
+    p = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x, axis=-1, out=p[..., 1:])
+    return p
+
+
+def _sure_values(p0: np.ndarray, p2: np.ndarray, t_values: np.ndarray,
+                 j: np.ndarray) -> np.ndarray:
+    """Group SURE term sum s2 (z ^ t)^2 - 2 s2 I(z <= t) at each t.
+
+    ``p0`` and ``p2`` are prefix sums of s2 and s2 z^2 over the group's
+    z-ascending coordinates (last axis); ``j`` counts the z values <= each t.
+    """
+    p0j = np.take(p0, j, axis=-1)
+    v = p0[..., -1:] - p0j  # the tail sum
+    v *= t_values * t_values
+    v += np.take(p2, j, axis=-1)
+    p0j *= 2.0
+    v -= p0j
+    return v
 
 
 def _objective_values(zs: np.ndarray, s2s: np.ndarray, t_values: np.ndarray) -> np.ndarray:
-    """Group SURE term sum s2 (z ^ t)^2 - 2 s2 I(z <= t) at each t.
+    """Group SURE term of one group at each t.
 
     ``zs`` must be sorted ascending with ``s2s`` aligned.
     """
-    p0 = _prefix(s2s)
-    p2 = _prefix(s2s * zs * zs)
     j = np.searchsorted(zs, t_values, side="right")
-    tail = p0[-1] - p0[j]
-    return t_values * t_values * tail + p2[j] - 2.0 * p0[j]
+    return _sure_values(_prefix(s2s), _prefix(s2s * zs * zs), t_values, j)
+
+
+def _loss_parts(prefixes: list, j: np.ndarray) -> tuple:
+    """The parts of a group's soft-thresholding loss at thresholds with ``j``
+    z values at or below them: sum theta^2 below plus sum (y-theta)^2 above,
+    and the sums of sigma*sign(y)*(y-theta) and of sigma^2 above.
+
+    ``prefixes`` yields the prefix sums (last axis) of theta^2, (y-theta)^2,
+    sigma*sign(y)*(y-theta) and sigma^2 over the group's z-ascending
+    coordinates, in that order; each is used and dropped before the next.
+    """
+    prefixes = iter(prefixes)
+
+    def above(p):
+        return p[..., -1:] - np.take(p, j, axis=-1)
+
+    below = np.take(next(prefixes), j, axis=-1)
+    below += above(next(prefixes))
+    return below, above(next(prefixes)), above(next(prefixes))
+
+
+def _loss_at(parts: tuple, t_values: np.ndarray) -> np.ndarray:
+    """Group loss sum (theta_hat - theta)^2 of soft thresholding at each t:
+    coordinates at or below t contribute theta^2, the others
+    (y - theta - sigma t sign y)^2."""
+    below, sc, s2 = parts
+    v = 2.0 * t_values * sc
+    np.subtract(below, v, out=v)
+    v += t_values**2 * s2
+    return v
 
 
 def _loss_values(prefixes: list, t_values: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Group loss sum (theta_hat - theta)^2 of soft thresholding at each t.
-
-    ``prefixes`` are the prefix sums of theta^2, (y-theta)^2,
-    sigma*sign(y)*(y-theta) and sigma^2 over the group's z-ascending
-    coordinates; ``j`` counts the group's z values <= each t. Coordinates
-    at or below t contribute theta^2, the others (y - theta - sigma t sign y)^2.
-    """
-    pq, pse, psc, ps2 = prefixes
-    return (
-        pq[j]
-        + (pse[-1] - pse[j])
-        - 2.0 * t_values * (psc[-1] - psc[j])
-        + t_values**2 * (ps2[-1] - ps2[j])
-    )
+    """Group loss at each t; ``j`` counts the group's z values <= each t."""
+    return _loss_at(_loss_parts(prefixes, j), t_values)
 
 
-def _min_objective(zs: np.ndarray, s2s: np.ndarray, t_n: float) -> tuple[float, float]:
-    """Minimize the group SURE term over the candidate set; smallest t on ties."""
-    cands = threshold_candidates(zs, t_n)
-    vals = _objective_values(zs, s2s, cands)
-    i = int(np.argmin(vals))  # first occurrence == smallest threshold
-    return float(cands[i]), float(vals[i])
-
-
-def _hybrid_fires(capped_sum: float, size: int, n: int) -> bool:
+def _hybrid_fires(capped_sum, size, n: int):
     """Whether a group looks like pure noise: its mean of (z^2 ^ t_n^2)
-    exceeds 1 by at most n^{-1/2} (ln n)^{3/2}, n the global size."""
+    exceeds 1 by at most n^{-1/2} (ln n)^{3/2}, n the global size.
+    Elementwise on arrays of sums and sizes."""
     stat = capped_sum / size - 1.0
     bound = n ** (-0.5) * math.log(n) ** 1.5 if n > 1 else 0.0
     return stat <= bound
@@ -193,14 +231,18 @@ def fit_group_threshold(z, sigma, n_global: int, hybrid: bool = True) -> float:
     capped_sum = float(np.minimum(zs * zs, t_n * t_n).sum())
     if hybrid and _hybrid_fires(capped_sum, zs.size, n_global):
         return t_n
-    return _min_objective(zs, sigma[order] ** 2, t_n)[0]
+    cands = threshold_candidates(zs, t_n)
+    vals = _objective_values(zs, sigma[order] ** 2, cands)
+    return float(cands[int(np.argmin(vals))])  # first occurrence == smallest threshold
 
 
 class _SortedBatch:
     """A batch sorted by standardized magnitude, with the side sequence the
-    groups split on. The loss columns are None when the batch lacks theta."""
+    groups split on. It holds the columns of the SURE terms (``capped``,
+    ``s2z2``) or, with ``loss``, those of the realized loss (``loss_columns``,
+    which need batch.theta); the others are None."""
 
-    def __init__(self, batch: DataBatch, side: np.ndarray):
+    def __init__(self, batch: DataBatch, side: np.ndarray, loss: bool = False):
         self.n = batch.n
         self.t_n = universal_threshold(batch.n)
         z = np.abs(batch.y) / batch.sigma
@@ -209,116 +251,364 @@ class _SortedBatch:
         sigma = batch.sigma[order]
         self.s2s = sigma**2
         self.side = side[order]
-        self.capped = np.minimum(self.zs**2, self.t_n**2)
         self.s2_total = float(self.s2s.sum())
-        self.loss_columns = None
-        if batch.theta is not None:
+        self.capped = self.s2z2 = self.loss_columns = None
+        if loss:
             y = batch.y[order]
             theta = batch.theta[order]
             err = y - theta
             self.loss_columns = (theta**2, err**2, sigma * np.sign(y) * err, self.s2s)
+        else:
+            self.capped = np.minimum(self.zs**2, self.t_n**2)
+            self.s2z2 = self.s2s * self.zs * self.zs
+
+    @functools.cached_property
+    def candidates(self) -> tuple:
+        """(cands, counts, starts, c): the candidate thresholds {0} |
+        {z_i <= t_n} | {t_n} (``threshold_candidates`` of these coordinates),
+        the count of z values <= each, the first column of each in
+        [0, z_0, ..., z_{c-1}, t_n] (None when they are distinct), and
+        c = #{z_i <= t_n}."""
+        c = int(np.searchsorted(self.zs, self.t_n, side="right"))
+        ext = np.concatenate([[0.0], self.zs[:c], [self.t_n]])
+        starts = np.flatnonzero(np.concatenate([[True], ext[1:] != ext[:-1]]))
+        cands = ext[starts]
+        counts = np.searchsorted(self.zs, cands, side="right")
+        return cands, counts, starts if starts.size < c + 2 else None, c
+
+    def restrict(self, keep: np.ndarray) -> "_SortedBatch":
+        """The coordinates ``keep`` alone, still in z order. Group terms on
+        them equal those on the whole batch: n and t_n stay global."""
+        sub = copy.copy(self)
+        sub.__dict__.pop("candidates", None)
+        sub.zs, sub.s2s, sub.side = self.zs[keep], self.s2s[keep], self.side[keep]
+        if self.loss_columns is None:
+            sub.capped, sub.s2z2 = self.capped[keep], self.s2z2[keep]
+        else:
+            sub.loss_columns = tuple(col[keep] for col in self.loss_columns)
+        sub.s2_total = None
+        return sub
+
+    def members(self, mask: np.ndarray) -> np.ndarray:
+        """Which candidates each group (row of ``mask``) holds: 0 and t_n
+        always, a z value when one of the group's coordinates has it."""
+        _, _, starts, c = self.candidates
+        ext = np.ones((mask.shape[0], c + 2), dtype=bool)
+        ext[:, 1:-1] = mask[:, :c]
+        if starts is None:
+            return ext
+        return np.logical_or.reduceat(ext, starts, axis=1)
 
 
-def _sure_group(ctx: _SortedBatch, sel, hybrid: bool) -> tuple[float, float]:
-    """SURE-fitted threshold and SURE term of one group, hybrid rule first.
-    Without the hybrid rule an empty group gives (0, 0)."""
-    zs = ctx.zs[sel]
-    s2s = ctx.s2s[sel]
-    if hybrid and _hybrid_fires(float(ctx.capped[sel].sum()), zs.size, ctx.n):
-        return ctx.t_n, float(_objective_values(zs, s2s, np.array([ctx.t_n]))[0])
-    return _min_objective(zs, s2s, ctx.t_n)
+def _hybrid_rows(ctx: _SortedBatch, mask: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The hybrid decision of each group (row of ``mask``), as
+    ``_hybrid_fires`` takes it on the group's own (pairwise) capped sum.
+
+    The row sum (non-members zeroed) and the group's own sum both lie within
+    (n + 64) eps/2 of the exact sum, and the decision is monotone in the sum;
+    only a group whose decision could flip inside that margin is summed again.
+    """
+    approx = (mask * ctx.capped).sum(axis=1)
+    margin = 2.0 * (ctx.capped.size + 64) * np.finfo(float).eps * approx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fires = _hybrid_fires(approx - margin, size, ctx.n)
+        unsure = fires != _hybrid_fires(approx + margin, size, ctx.n)
+    for r in np.flatnonzero(unsure):
+        fires[r] = _hybrid_fires(float(ctx.capped[mask[r]].sum()), size[r], ctx.n)
+    return fires
 
 
-def _screen_group(ctx: _SortedBatch, sel) -> tuple[float, float]:
-    """Screened group: its threshold is its largest magnitude, so every
+def _sure_group(ctx: _SortedBatch, mask: np.ndarray, hybrid: bool) -> tuple:
+    """SURE-fitted threshold and SURE term of each group (row of ``mask``),
+    hybrid rule first; the smallest threshold wins ties. Without the hybrid
+    rule an empty group gives (0, 0)."""
+    p0 = _prefix(mask * ctx.s2s)
+    p2 = _prefix(mask * ctx.s2z2)
+    cands, counts = ctx.candidates[:2]
+    vals = _sure_values(p0, p2, cands, counts)
+    vals[~ctx.members(mask)] = np.inf
+    i = np.argmin(vals, axis=1)
+    rows = np.arange(mask.shape[0])
+    t, v = cands[i], vals[rows, i]
+    if hybrid:
+        fires = _hybrid_rows(ctx, mask, np.count_nonzero(mask, axis=1))
+        t[fires] = ctx.t_n
+        v[fires] = vals[fires, -1]
+    return t, v
+
+
+def _screen_group(ctx: _SortedBatch, mask: np.ndarray) -> tuple:
+    """Screened groups: a group's threshold is its largest magnitude, so every
     estimate is zero and the SURE term reduces to sum s2 z^2 - 2 s2."""
-    zs = ctx.zs[sel]
-    s2s = ctx.s2s[sel]
-    t = float(zs[-1]) if zs.size else 0.0
-    return t, float((s2s * zs**2).sum() - 2.0 * s2s.sum())
+    w = ctx.s2s * ctx.zs**2
+    t = np.zeros(mask.shape[0])
+    v = np.empty(mask.shape[0])
+    for r, sel in enumerate(mask):
+        idx = np.flatnonzero(sel)
+        if idx.size:
+            t[r] = ctx.zs[idx[-1]]
+        v[r] = w[idx].sum() - 2.0 * ctx.s2s[idx].sum()
+    return t, v
 
 
-def _min_loss_threshold(ctx: _SortedBatch, sel) -> tuple[float, float]:
-    """Threshold minimizing the realized group loss over [0, t_n].
+def _min_loss_threshold(ctx: _SortedBatch, mask: np.ndarray) -> tuple:
+    """Threshold minimizing the realized loss of each group (row of ``mask``)
+    over [0, t_n]; the smallest threshold wins ties.
 
     Unlike the SURE objective the loss is quadratic (not monotone) between
     order statistics, so each segment's interior vertex joins the candidate
     set. An empty group gives (0, 0).
     """
-    zs = ctx.zs[sel]
-    cands = threshold_candidates(zs, ctx.t_n)
-    pre = [_prefix(col[sel]) for col in ctx.loss_columns]
-    j = np.searchsorted(zs, cands, side="right")
-    suf_sc = pre[2][-1] - pre[2][j]
-    suf_s2 = pre[3][-1] - pre[3][j]
-    upper = np.append(cands[1:], ctx.t_n)
+    cands, counts = ctx.candidates[:2]
+    parts = _loss_parts((_prefix(mask * col) for col in ctx.loss_columns), counts)
+    member = ctx.members(mask)
+    _, suf_sc, suf_s2 = parts
+    rows = np.arange(mask.shape[0])
+    at_cand = _loss_at(parts, cands)
+    at_cand[~member] = np.inf
+    i = np.argmin(at_cand, axis=1)
+    t, v = cands[i], at_cand[rows, i]
+    del at_cand
+    # each segment ends at the group's next candidate; t_n ends the last
+    upper = np.full(member.shape, ctx.t_n)
+    upper[:, :-1] = np.minimum.accumulate(
+        np.where(member, cands, np.inf)[:, :0:-1], axis=1)[:, ::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = np.where(suf_s2 > 0, suf_sc / np.where(suf_s2 > 0, suf_s2, 1.0), np.nan)
-    ok = (suf_s2 > 0) & (vertex > cands) & (vertex < upper)
-    # no order statistic lies strictly inside a segment, so a vertex counts
-    # the same z values as the segment's left end
-    points = np.concatenate([cands, vertex[ok]])
-    values = _loss_values(pre, points, np.concatenate([j, j[ok]]))
-    srt = np.argsort(points, kind="stable")
-    i = int(np.argmin(values[srt]))
-    return float(points[srt][i]), float(values[srt][i])
+        vertex = suf_sc / np.where(suf_s2 > 0, suf_s2, 1.0)
+        ok = member & (suf_s2 > 0) & (vertex > cands) & (vertex < upper)
+        # no order statistic lies strictly inside a segment, so a vertex counts
+        # the same z values as the segment's left end
+        at_vertex = np.where(ok, _loss_at(parts, vertex), np.inf)
+    i = np.argmin(at_vertex, axis=1)
+    tv, vv = vertex[rows, i], at_vertex[rows, i]
+    # vertices and candidates each ascend along a row; the lower value wins,
+    # then the smaller point
+    take = (vv < v) | ((vv == v) & (tv < t))
+    return np.where(take, tv, t), np.where(take, vv, v)
 
 
-def _search(ctx: _SortedBatch, breakpoints, terms: list, base: float = 0.0,
-            skip_empty: bool = True):
-    """Yield (value, tau, t, sizes) for each breakpoint vector ``tau``.
+def _within(ctx: _SortedBatch, cells: np.ndarray, lo: int, hi: int) -> tuple:
+    """The batch and cells restricted to the coordinates in cells lo..hi,
+    when that drops at least half of them; a smaller saving does not pay for
+    the copy, in time or in memory."""
+    keep = (cells >= lo) & (cells <= hi)
+    if 2 * np.count_nonzero(keep) > keep.size:
+        return ctx, cells
+    return ctx.restrict(keep), cells[keep]
 
-    Group g holds the side values in (tau[g-1], tau[g]]; ``terms[g](ctx, mask)``
-    gives its threshold and objective term, and value = (base + sum of the
-    terms) / n. With ``skip_empty`` a vector that leaves a group empty is skipped.
+
+def _group_terms(ctx: _SortedBatch, cells: np.ndarray, term, lo: np.ndarray, hi: np.ndarray):
+    """Threshold and objective term of the group holding cells lo[i]..hi[i],
+    for each i; ``cells`` gives each coordinate's cell, in z order.
+
+    Consecutive groups run together in chunks of a fixed number of elements:
+    one row per group, holding the coordinates of the chunk's cells, those
+    outside the row's group multiplied by zero. Adding +-0.0 leaves a sum
+    unchanged, so the prefix sums are bit for bit those over the group alone.
     """
-    k = len(terms)
-    for tau in breakpoints:
-        if k == 2:
-            # one comparison splits on a single breakpoint, well below the
-            # cost of searchsorted plus bincount
-            upper = ctx.side > tau[0]
-            n_upper = int(np.count_nonzero(upper))
-            sizes = np.array([ctx.n - n_upper, n_upper])
-            masks = (~upper, upper)
-        else:
-            assign = np.searchsorted(tau, ctx.side, side="left")
-            sizes = np.bincount(assign, minlength=k)
-            masks = (assign == g for g in range(k))
-        if skip_empty and sizes.min() == 0:
+    t = np.empty(lo.size)
+    v = np.empty(lo.size)
+    if lo.size == 0:
+        return t, v
+    ctx, cells = _within(ctx, cells, lo.min(), hi.max())
+    count = np.concatenate([[0], np.cumsum(np.bincount(cells, minlength=hi.max() + 1))])
+    s = 0
+    while s < lo.size:
+        a = np.minimum.accumulate(lo[s:])
+        b = np.maximum.accumulate(hi[s:])
+        # coordinates in the cells of the first 1, 2, ... groups from s
+        width = count[b + 1] - count[a]
+        e = s + max(1, int(np.count_nonzero(
+            np.arange(1, a.size + 1) * (width + 1) <= _CHUNK_ELEMENTS)))
+        sub, sub_cells = _within(ctx, cells, a[e - s - 1], b[e - s - 1])
+        t[s:e], v[s:e] = term(sub, (sub_cells >= lo[s:e, None]) & (sub_cells <= hi[s:e, None]))
+        s = e
+    return t, v
+
+
+def _split_points(grid: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """The points of ``grid`` whose lower cell holds a side value.
+
+    Moving a breakpoint down across an empty cell keeps every group, so when
+    no group may be empty the lexicographically first minimizer uses these
+    points only."""
+    cells = np.searchsorted(grid, side, side="left")
+    return grid[np.bincount(cells, minlength=grid.size + 1)[:-1] > 0]
+
+
+class _Cut:
+    """A sorted batch cut into the cells of a breakpoint grid, with the terms
+    of every first group (cells 0..b, b = 0..m) and every last group (cells
+    a..m, a = 1..m). ``first`` fits the first group and ``rest`` the others;
+    with ``skip_empty`` an empty group's term is +inf."""
+
+    def __init__(self, ctx: _SortedBatch, grid: np.ndarray, first, rest, base: float,
+                 skip_empty: bool = True):
+        self.ctx = ctx
+        self.grid = grid
+        self.m = m = grid.size
+        self.rest = rest
+        self.base = base
+        self.skip_empty = skip_empty
+        self.cells = np.searchsorted(grid, ctx.side, side="left")
+        self.count = np.concatenate([[0], np.cumsum(np.bincount(self.cells, minlength=m + 1))])
+        b = np.arange(m + 1)
+        self.head = self.terms(first, np.zeros(m + 1, dtype=int), b)
+        self.tail = self.terms(rest, b[1:], np.full(m, m))
+
+    def terms(self, term, lo: np.ndarray, hi: np.ndarray):
+        t, v = _group_terms(self.ctx, self.cells, term, lo, hi)
+        if self.skip_empty:
+            v[self.count[hi + 1] == self.count[lo]] = np.inf
+        return t, v
+
+    def row(self, a: int):
+        """Terms of the middle groups a..b, b = a..m-1."""
+        b = np.arange(a, self.m)
+        return self.terms(self.rest, np.full(b.size, a), b)
+
+    def fit(self, idx, ts) -> tuple:
+        """(tau, t, sizes) of the breakpoint indices ``idx``."""
+        idx = np.asarray(idx, dtype=int)
+        edges = self.count[np.concatenate([[0], idx + 1, [self.m + 1]])]
+        return self.grid[idx], np.array(ts, dtype=float), np.diff(edges)
+
+
+_SIGN = np.int64(-(2**63))
+
+
+def _key(x: np.ndarray) -> np.ndarray:
+    """Integers in the order of the floats ``x`` (one per float; -0 == 0)."""
+    b = np.ascontiguousarray(x, dtype=float).view(np.int64)
+    return np.where(b < 0, _SIGN - b, b)
+
+
+def _unkey(k: np.ndarray) -> np.ndarray:
+    return np.where(k < 0, _SIGN - k, k).view(np.float64)
+
+
+def _largest(ok, x: np.ndarray) -> np.ndarray:
+    """Largest float y with ok(y), elementwise, from a guess ``x``; ``ok``
+    is elementwise, true at -inf and monotone (true up to y, false beyond).
+
+    A guess off by a step is corrected by one; other elements are bisected
+    on the integer keys of the floats, which takes 64 halvings at most.
+    """
+    x = np.where(ok(x), x, np.nextafter(x, -np.inf))
+    up = np.nextafter(x, np.inf)
+    x = np.where(ok(up), up, x)
+    if not (ok(np.nextafter(x, np.inf)) | ~ok(x)).any():
+        return x
+    lo = np.full(x.shape, _key(np.array([-np.inf]))[0])
+    hi = np.full(x.shape, _key(np.array([np.inf]))[0])
+    for _ in range(64):
+        mid = (lo & hi) + ((lo ^ hi) >> 1)  # floor((lo + hi) / 2) without overflow
+        good = ok(_unkey(mid))
+        lo = np.where(good, mid, lo)
+        hi = np.where(good, hi, mid)
+    return _unkey(lo)
+
+
+def _largest_addend(c: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Largest x with fl(x + c) <= limit, elementwise; -inf where none is.
+    fl(x + c) is nondecreasing in x, so fl(x + c) <= limit iff x <= the result."""
+    with np.errstate(invalid="ignore"):
+        return _largest(lambda x: (x == -np.inf) | (x + c <= limit), limit - c)
+
+
+def _largest_total(total: float, n: int) -> float:
+    """Largest sum whose mean over n rounds to the mean of ``total``."""
+    value = total / n
+    return _largest(lambda x: (x == -np.inf) | (x / n <= value), np.array([total]))[0]
+
+
+def _search(cut: _Cut, ks) -> dict:
+    """{K: (value, breakpoint indices, t)} of the minimizer of
+    value = (base + term of group 1 + ... + term of group K) / n, summed in
+    that order, for each K in ``ks`` that a breakpoint vector can fit.
+
+    Ties go to the lexicographically smallest breakpoints. Rounding of
+    x + c and of x / n is monotone in x, so the least partial sums give the
+    least value (forward pass), and from the largest sum that still reaches
+    it each state gets the largest partial sum that can (backward pass). The
+    greedy pass then takes at each step the smallest breakpoint within that
+    bound. Middle groups exist from K = 3 on; their terms are computed again
+    in each pass rather than held.
+    """
+    m, n, base = cut.m, cut.ctx.n, cut.base
+    head_t, head_v = cut.head
+    tail_t, tail_v = cut.tail
+    kmax = max(ks)
+    # part[k][b]: least sum of base and k groups covering cells 0..b
+    part = [None, base + head_v[:m]] + [np.full(m, np.inf) for _ in range(2, kmax)]
+    for a in range(1, m if kmax > 2 else 0):
+        row = cut.row(a)[1]
+        for k in range(2, kmax):
+            np.minimum(part[k][a:], part[k - 1][a - 1] + row, out=part[k][a:])
+    best = {1: base + head_v[m]}
+    for k in ks:
+        if k > 1:
+            best[k] = np.min(part[k - 1] + tail_v, initial=np.inf)
+    ks = [k for k in ks if np.isfinite(best[k])]
+    # limit[k][g][b]: largest sum of base and g groups covering cells 0..b
+    # from which the remaining groups reach the K = k minimum
+    limit = {}
+    for k in ks:
+        if k > 1:
+            limit[k] = ([None] + [np.full(m, -np.inf) for _ in range(1, k - 1)]
+                        + [_largest_addend(tail_v, _largest_total(best[k], n))])
+    for a in range(m - 1 if max(limit, default=0) > 2 else 0, 0, -1):
+        row = cut.row(a)[1]
+        for k, lim in limit.items():
+            for g in range(1, k - 1):
+                lim[g][a - 1] = np.max(_largest_addend(row, lim[g + 1][a:]))
+    fits = {}
+    for k in ks:
+        if k == 1:
+            fits[1] = (best[1] / n, [], [head_t[m]])
             continue
-        ts = np.empty(k)
-        total = base
-        for g, (term, mask) in enumerate(zip(terms, masks)):
-            ts[g], val = term(ctx, mask)
-            total += val
-        yield total / ctx.n, tau, ts, sizes
+        total, prev, idx, ts = base, -1, [], []
+        for g in range(1, k):
+            row_t, row_v = (head_t[:m], head_v[:m]) if g == 1 else cut.row(prev + 1)
+            cand = total + row_v
+            j = int(np.argmax(cand <= limit[k][g][prev + 1:]))
+            total = cand[j]
+            prev += 1 + j
+            idx.append(prev)
+            ts.append(row_t[j])
+        fits[k] = ((total + tail_v[prev]) / n, idx, ts + [tail_t[prev]])
+    return fits
 
 
-def _breakpoint_vectors(s: np.ndarray, k: int, mn_factor: float):
-    """Every sorted (K-1)-subset of the breakpoint grid on ``s``, in
-    lexicographic order; a single empty vector for K = 1."""
-    grid = tau_grid(s, mn_factor) if k > 1 else np.empty(0)
-    for combo in itertools.combinations(range(grid.size), k - 1):
-        yield grid[list(combo)]
+def _best(cut: _Cut, k: int):
+    """(value, tau, t, sizes) of the K-group minimizer on ``cut``, or None."""
+    fit = _search(cut, [k]).get(k)
+    return None if fit is None else (fit[0], *cut.fit(fit[1], fit[2]))
 
 
-def _sure_search(batch: DataBatch, k: int, mn_factor: float, hybrid: bool):
-    """The driver over the SURE candidates of a K-group fit on ``batch.s``."""
+def _sure_cut(batch: DataBatch, grid: np.ndarray, hybrid: bool) -> _Cut:
+    """The SURE terms of the groups on ``grid`` over ``batch.s``."""
     ctx = _SortedBatch(batch, batch.s)
     term = functools.partial(_sure_group, hybrid=hybrid)
-    return _search(ctx, _breakpoint_vectors(batch.s, k, mn_factor), [term] * k,
-                   base=ctx.s2_total)
+    return _Cut(ctx, grid, term, term, ctx.s2_total)
+
+
+def _fit_grid(s: np.ndarray, k: int, mn_factor: float) -> np.ndarray:
+    """The breakpoints a K-group fit on ``s`` searches; none for K = 1."""
+    return _split_points(tau_grid(s, mn_factor), s) if k > 1 else np.empty(0)
+
+
+def _infeasible(k: int) -> ValueError:
+    return ValueError(
+        f"no feasible breakpoint candidate for K={k}; "
+        "the auxiliary sequence cannot support that many nonempty groups"
+    )
 
 
 def _fit_sure(batch: DataBatch, cfg: SearchConfig, name: str) -> FitResult:
-    best = min(_sure_search(batch, cfg.k, cfg.mn_factor, cfg.hybrid),
-               key=itemgetter(0), default=None)
+    best = _best(_sure_cut(batch, _fit_grid(batch.s, cfg.k, cfg.mn_factor), cfg.hybrid), cfg.k)
     if best is None:
-        raise ValueError(
-            f"no feasible breakpoint candidate for K={cfg.k}; "
-            "the auxiliary sequence cannot support that many nonempty groups"
-        )
+        raise _infeasible(cfg.k)
     _, tau, t, sizes = best
     hp = HyperParams(tau=tau, t=t)
     theta_hat = apply_estimator(batch, hp)
@@ -340,11 +630,10 @@ def fit_sureshrink(batch: DataBatch, hybrid: bool = True) -> FitResult:
 def fit_asus(batch: DataBatch, cfg: SearchConfig | None = None) -> FitResult:
     """Full grouped fit: search breakpoints x per-group thresholds by SURE.
 
-    Enumerates every sorted (K-1)-subset of the breakpoint grid, fits the
-    group thresholds for each, and returns the SURE minimizer. Candidate
-    order is lexicographic in tau and strict improvement is required to
-    replace the incumbent, so ties resolve to the lexicographically
-    smallest hyperparameters.
+    Returns the exact SURE minimizer over every sorted (K-1)-subset of the
+    breakpoint grid with the group thresholds fitted for each, computed by
+    combining the terms of contiguous-cell groups rather than by visiting
+    the subsets. Ties resolve to the lexicographically smallest breakpoints.
     """
     return _fit_sure(batch, SearchConfig() if cfg is None else cfg, "asus")
 
@@ -360,19 +649,18 @@ def sweep_tau(batch: DataBatch, cfg: SearchConfig | None = None) -> SweepCurve:
         cfg = SearchConfig(k=2)
     if cfg.k != 2:
         raise ValueError("sweep_tau is defined for K = 2")
-    taus, sures, t1s, t2s = [], [], [], []
-    for _, tau, ts, _ in _sure_search(batch, 2, cfg.mn_factor, cfg.hybrid):
-        taus.append(tau[0])
-        sures.append(sure(batch, HyperParams(tau=tau, t=ts)))
-        t1s.append(ts[0])
-        t2s.append(ts[1])
-    if not taus:
+    cut = _sure_cut(batch, tau_grid(batch.s, cfg.mn_factor), cfg.hybrid)
+    (t1, v1), (t2, v2) = cut.head, cut.tail
+    feasible = np.flatnonzero(np.isfinite(v1[:cut.m]) & np.isfinite(v2))
+    if not feasible.size:
         raise ValueError("no feasible breakpoint candidate for K=2")
+    taus, t1s, t2s = cut.grid[feasible], t1[feasible], t2[feasible]
+    sures = [sure(batch, HyperParams(tau=[tau], t=[a, b])) for tau, a, b in zip(taus, t1s, t2s)]
     return SweepCurve(
-        tau_values=np.array(taus),
+        tau_values=taus,
         sure_values=np.array(sures),
-        t1_values=np.array(t1s),
-        t2_values=np.array(t2s),
+        t1_values=t1s,
+        t2_values=t2s,
     )
 
 
@@ -384,16 +672,21 @@ def select_k(
 ) -> KSelection:
     """Fit K = 1..k_max and report the SURE-minimizing K.
 
-    The primary rule is the SURE argmin. An elbow heuristic is reported
-    alongside: the last K whose SURE improvement over K-1 is at least 5%
-    relative. Beware the combinatorial cost of large K on dense grids.
+    One set of group terms serves every K, and each K's fit equals
+    fit_asus at that K. The primary rule is the SURE argmin. An elbow
+    heuristic is reported alongside: the last K whose SURE improvement over
+    K-1 is at least 5% relative.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    cut = _sure_cut(batch, _fit_grid(batch.s, k_max, mn_factor), hybrid)
+    fits = _search(cut, range(1, k_max + 1))
     sures = []
     for k in range(1, k_max + 1):
-        cfg = SearchConfig(k=k, mn_factor=mn_factor, hybrid=hybrid)
-        sures.append(fit_asus(batch, cfg).sure_value)
+        if k not in fits:
+            raise _infeasible(k)
+        tau, t, _ = cut.fit(fits[k][1], fits[k][2])
+        sures.append(sure(batch, HyperParams(tau=tau, t=t)))
     sures = np.array(sures)
     k_selected = int(np.argmin(sures)) + 1
     k_elbow = 1

@@ -1,0 +1,115 @@
+"""Brute-force reference for the breakpoint search: every candidate enumerated.
+
+This is the search the package ran before it combined interval costs: it
+visits every sorted (K-1)-subset of the breakpoint grid in lexicographic
+order, splits the z-sorted batch with boolean masks, fits each group's
+threshold on its compacted coordinates, and keeps the first minimum of
+(base + sum of group terms) / n. Its cost grows as C(m, K-1), so it serves
+only as the reference that `tests/test_search_equivalence.py` compares the
+package's search with, on small grids.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from auxshrink.tuner import _SortedBatch, tau_grid
+
+
+def _prefix(x):
+    return np.concatenate([[0.0], np.cumsum(x)])
+
+
+def _candidates(zs, t_n):
+    return np.unique(np.concatenate([[0.0], zs[zs <= t_n], [t_n]]))
+
+
+def _objective_values(zs, s2s, t_values):
+    p0 = _prefix(s2s)
+    p2 = _prefix(s2s * zs * zs)
+    j = np.searchsorted(zs, t_values, side="right")
+    tail = p0[-1] - p0[j]
+    return t_values * t_values * tail + p2[j] - 2.0 * p0[j]
+
+
+def _hybrid_fires(capped_sum, size, n):
+    stat = capped_sum / size - 1.0
+    bound = n ** (-0.5) * math.log(n) ** 1.5 if n > 1 else 0.0
+    return stat <= bound
+
+
+def sure_group(ctx: _SortedBatch, sel, hybrid: bool):
+    zs = ctx.zs[sel]
+    s2s = ctx.s2s[sel]
+    if hybrid and _hybrid_fires(float(ctx.capped[sel].sum()), zs.size, ctx.n):
+        return ctx.t_n, float(_objective_values(zs, s2s, np.array([ctx.t_n]))[0])
+    cands = _candidates(zs, ctx.t_n)
+    vals = _objective_values(zs, s2s, cands)
+    i = int(np.argmin(vals))
+    return float(cands[i]), float(vals[i])
+
+
+def _loss_values(prefixes, t_values, j):
+    pq, pse, psc, ps2 = prefixes
+    return (
+        pq[j]
+        + (pse[-1] - pse[j])
+        - 2.0 * t_values * (psc[-1] - psc[j])
+        + t_values**2 * (ps2[-1] - ps2[j])
+    )
+
+
+def loss_group(ctx: _SortedBatch, sel):
+    zs = ctx.zs[sel]
+    cands = _candidates(zs, ctx.t_n)
+    pre = [_prefix(col[sel]) for col in ctx.loss_columns]
+    j = np.searchsorted(zs, cands, side="right")
+    suf_sc = pre[2][-1] - pre[2][j]
+    suf_s2 = pre[3][-1] - pre[3][j]
+    upper = np.append(cands[1:], ctx.t_n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.where(suf_s2 > 0, suf_sc / np.where(suf_s2 > 0, suf_s2, 1.0), np.nan)
+    ok = (suf_s2 > 0) & (vertex > cands) & (vertex < upper)
+    points = np.concatenate([cands, vertex[ok]])
+    values = _loss_values(pre, points, np.concatenate([j, j[ok]]))
+    srt = np.argsort(points, kind="stable")
+    i = int(np.argmin(values[srt]))
+    return float(points[srt][i]), float(values[srt][i])
+
+
+def search(ctx: _SortedBatch, grid: np.ndarray, k: int, term, base: float = 0.0,
+           min_last: bool = False):
+    """(value, tau, t, sizes) of the first minimum over every sorted (K-1)-subset
+    of ``grid``, skipping subsets that leave a group empty; None if none is
+    feasible. ``term(ctx, mask)`` fits one group.
+
+    ``min_last`` keeps, among equal values, the candidate with the smallest
+    last breakpoint instead: the tie rule of a segmentation DP whose
+    back-pointers keep the smallest left end. It exists so that the
+    equivalence test can show that it tells the two rules apart.
+    """
+    best = None
+    for combo in itertools.combinations(range(grid.size), k - 1):
+        tau = grid[list(combo)]
+        assign = np.searchsorted(tau, ctx.side, side="left")
+        sizes = np.bincount(assign, minlength=k)
+        if sizes.min() == 0:
+            continue
+        ts = np.empty(k)
+        total = base
+        for g in range(k):
+            ts[g], val = term(ctx, assign == g)
+            total += val
+        value = total / ctx.n
+        if best is None or value < best[0]:
+            best = (value, tau, ts, sizes)
+        elif min_last and value == best[0] and tau.size and tau[-1] < best[1][-1]:
+            best = (value, tau, ts, sizes)
+    return best
+
+
+def grid_of(s: np.ndarray, k: int, mn_factor: float) -> np.ndarray:
+    return tau_grid(s, mn_factor) if k > 1 else np.empty(0)

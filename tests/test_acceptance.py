@@ -35,7 +35,13 @@ from auxshrink import (
 )
 from auxshrink.cli import main
 from auxshrink.sim import _SideOracleAccumulator
-from auxshrink.tuner import _objective_values, threshold_candidates
+from auxshrink.tuner import (
+    _loss_values,
+    _objective_values,
+    _prefix,
+    _SortedBatch,
+    threshold_candidates,
+)
 from population_risk import references
 
 N_TABLE = 200
@@ -349,6 +355,14 @@ def test_theory_numerics():
     finish(records)
 
 
+def _pooled_loss_curve(batch, t_grid):
+    """Loss of one common threshold at each t of ``t_grid``, as the side-oracle
+    accumulator sums it for a group holding every coordinate."""
+    ctx = _SortedBatch(batch, batch.xi, loss=True)
+    j = np.searchsorted(ctx.zs, t_grid, side="right")
+    return _loss_values([_prefix(col) for col in ctx.loss_columns], t_grid, j)
+
+
 def _bridge_risk_gap(n=5000, alpha=0.5, beta=0.9, pi1=0.5, reps=300):
     """Monte Carlo risk gap between the best pooled threshold and the best
     two-group thresholds on a least-favorable-style spike scenario."""
@@ -357,25 +371,21 @@ def _bridge_risk_gap(n=5000, alpha=0.5, beta=0.9, pi1=0.5, reps=300):
     mu2 = math.sqrt(2 * beta * math.log(n))
     labels = np.concatenate([np.zeros(n1), np.ones(n - n1)])
     rng = np.random.default_rng(4242)
-    acc_pooled = None
     acc_grouped = None
+    pooled = 0.0
     for _ in range(reps):
         nonnull1 = rng.random(n1) < n ** (-alpha)
         nonnull2 = rng.random(n - n1) < n ** (-beta)
         theta = np.concatenate([np.where(nonnull1, mu1, 0.0), np.where(nonnull2, mu2, 0.0)])
         y = theta + rng.standard_normal(n)
-        batch_pooled = DataBatch(
-            y=y, sigma=np.ones(n), s=labels, theta=theta, xi=np.zeros(n)
-        )
         batch_grouped = DataBatch(
             y=y, sigma=np.ones(n), s=labels, theta=theta, xi=labels
         )
-        if acc_pooled is None:
-            acc_pooled = _SideOracleAccumulator(batch_pooled, t_points=1025)
+        if acc_grouped is None:
             acc_grouped = _SideOracleAccumulator(batch_grouped, t_points=1025)
-        acc_pooled.add(batch_pooled)
         acc_grouped.add(batch_grouped)
-    r_ns = acc_pooled.acc[0, 0].min() / (n * reps)
+        pooled = pooled + _pooled_loss_curve(batch_grouped, acc_grouped.t_grid)
+    r_ns = pooled.min() / (n * reps)
     r_os = (acc_grouped.acc[0, 0].min() + acc_grouped.acc[0, 1].min()) / (n * reps)
     rp = RegimeParams(alpha=alpha, beta=beta, pi1=pi1, sigma_bar_sq=1.0, n=n)
     return r_ns - r_os, risk_gap_first_order(rp)

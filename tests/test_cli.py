@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from auxshrink import HyperParams, sure
+from auxshrink import HyperParams, ScenarioSpec, SearchConfig, fit_asus, generate, sure
 from auxshrink.cli import main, read_batch_csv
 
 
@@ -249,6 +249,23 @@ class TestChooseK:
             rows = {int(r["k"]): r for r in csv.DictReader(fh)}
         assert float(rows[2]["sure"]) < float(rows[1]["sure"])
         assert rows[2]["selected"] == "1"
+
+    def test_kmax_four_at_default_density(self, tmp_path):
+        # the README example: 1000 rows, grid of ceil(50 ln 1000) = 346 points
+        batch = generate(ScenarioSpec("two-sample-s2", n=1000, seed=17))
+        path = tmp_path / "batch.csv"
+        write_batch_csv(path, [(i, repr(float(batch.y[i])), repr(float(batch.sigma[i])),
+                                repr(float(batch.s[i]))) for i in range(batch.n)])
+        out = tmp_path / "k.csv"
+        assert main(["choose-k", "--input", str(path), "--output", str(out), "--kmax", "4"]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["k"] for r in rows] == ["1", "2", "3", "4"]
+        sures = [float(r["sure"]) for r in rows]
+        parsed, _ = read_batch_csv(str(path))
+        for k in (1, 2, 3):
+            assert sures[k - 1] == fit_asus(parsed, SearchConfig(k=k)).sure_value
+        assert [r["selected"] for r in rows].index("1") == int(np.argmin(sures))
 
 
 class TestSimulate:

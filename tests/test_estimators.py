@@ -14,6 +14,7 @@ from auxshrink import (
     generate,
     universal_threshold,
 )
+from auxshrink.sim import _SideOracleAccumulator
 
 
 def signal_batch(rng, n=500, n_sig=100, amp=5.0, inverted_aux=False):
@@ -148,6 +149,18 @@ class TestOracleSide:
         b = DataBatch(y=[1.0], sigma=[1.0], s=[1.0])
         with pytest.raises(ValueError):
             fit_oracle_side(b)
+
+    def test_constant_latent_sequence_rejected(self):
+        # a constant xi has no split point; it used to give a 2-group fit
+        # with an empty upper group
+        rng = np.random.default_rng(103)
+        n = 200
+        b = DataBatch(y=rng.standard_normal(n), sigma=np.ones(n), s=rng.random(n),
+                      theta=np.zeros(n), xi=np.zeros(n))
+        with pytest.raises(ValueError, match="xi is degenerate"):
+            fit_oracle_side(b)
+        with pytest.raises(ValueError, match="xi is degenerate"):
+            _SideOracleAccumulator(b)
 
 
 class TestEjs:
