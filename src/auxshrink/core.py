@@ -206,10 +206,19 @@ def sure(batch: DataBatch, hp: HyperParams) -> float:
     Empty groups contribute nothing.
     """
     t_per = _group_thresholds_per_coord(batch, hp)
+    return float(_sure_rows(batch, t_per[np.newaxis])[0])
+
+
+def _sure_rows(batch: DataBatch, t_rows: np.ndarray) -> np.ndarray:
+    """SURE (as in ``sure``) at each row of per-coordinate thresholds.
+
+    ``t_rows`` has shape (r, n). Each row is summed on its own, so a row's
+    value does not depend on the other rows of the stack.
+    """
     s2 = batch.sigma**2
     z = np.abs(batch.y) / batch.sigma
-    inner = s2 * np.minimum(z, t_per) ** 2 - 2.0 * s2 * (z <= t_per)
-    return float((s2.sum() + inner.sum()) / batch.n)
+    inner = s2 * np.minimum(z, t_rows) ** 2 - 2.0 * s2 * (z <= t_rows)
+    return (s2.sum() + inner.sum(axis=1)) / batch.n
 
 
 def loss(theta, theta_hat) -> float:

@@ -20,10 +20,15 @@ toy
     uniform blocks, sigma_i = sqrt(0.5), auxiliary |Ybar_1 + Ybar_2|; the
     latent field carries the signal/null labels.
 
-All generators are deterministic functions of ScenarioSpec.seed. The
-harness fits each requested estimator once per replication; the side
-oracle row instead minimizes the replication-averaged loss over a common
-(split, threshold) grid, approximating the population risk minimizer.
+All generators are deterministic functions of ScenarioSpec.seed. Averaged
+auxiliary noise is summed one row of n draws at a time, never as an (m, n)
+matrix. The harness generates each replication's batch once and fits each
+requested estimator on it; the side oracle row instead minimizes the
+replication-averaged loss over a common (split, threshold) grid,
+approximating the population risk minimizer, and then scores that rule on
+every replication. Only while the side oracle is requested, the harness
+keeps each replication's scoring view (y, sigma, theta and xi: 32 bytes
+per coordinate) until the grid is minimized.
 """
 
 from __future__ import annotations
@@ -87,6 +92,19 @@ def _sparse_eta1(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.where(mask, vals, 0.0)
 
 
+def _mean_of_draws(draw, m: int) -> np.ndarray:
+    """Mean of ``m`` rows ``draw()``, drawn in order, holding one row at a time.
+
+    Bit for bit the ``.mean(axis=0)`` of the (m, n) matrix drawn in one call:
+    the rows consume the random stream as the matrix would, and the axis-0
+    mean adds whole rows in order before dividing by m.
+    """
+    acc = draw()
+    for _ in range(m - 1):
+        acc += draw()
+    return acc / m
+
+
 def gen_one_sample(spec: ScenarioSpec) -> DataBatch:
     if spec.family not in ("one-sample-s1", "one-sample-s2"):
         raise ValueError(f"not a one-sample family: {spec.family}")
@@ -119,9 +137,9 @@ def gen_one_sample(spec: ScenarioSpec) -> DataBatch:
     sigma = np.ones(n)
 
     if variant in (1, 3):
-        eta2_bar = rng.laplace(0.0, 4.0, (m, n)).mean(axis=0)
+        eta2_bar = _mean_of_draws(lambda: rng.laplace(0.0, 4.0, n), m)
     else:
-        eta2_bar = rng.chisquare(10.0, (m, n)).mean(axis=0)
+        eta2_bar = _mean_of_draws(lambda: rng.chisquare(10.0, n), m)
 
     if variant in (1, 2):
         s = np.abs(xi + eta2_bar)
@@ -211,7 +229,7 @@ def gen_asymptotic(spec: ScenarioSpec) -> DataBatch:
     y = theta + sigma * rng.standard_normal(n)
 
     null = xi == 0.0
-    eta2_bar = rng.normal(0.0, 0.1, (m, n)).mean(axis=0)
+    eta2_bar = _mean_of_draws(lambda: rng.normal(0.0, 0.1, n), m)
     if spec.family == "asymptotic-s1":
         mu0 = math.sqrt(math.log(k_n)) if variant == 1 else math.sqrt(k_n)
         mean_s = np.where(null, mu0, 0.0)
@@ -366,10 +384,11 @@ class _SideOracleAccumulator:
         return best[1], best[2], best[3]
 
 
-def _oracle_loss_at(batch: DataBatch, hp: HyperParams):
-    """Realized loss and group sizes of the fixed side-oracle rule."""
-    theta_hat = apply_estimator(dataclasses.replace(batch, s=batch.xi), hp)
-    return loss(batch.theta, theta_hat), partition(batch.xi, hp.tau).sizes
+def _oracle_loss_at(view: DataBatch, hp: HyperParams):
+    """Realized loss and group sizes of the fixed side-oracle rule on a
+    replication's scoring view, whose auxiliary sequence is its latent xi."""
+    theta_hat = apply_estimator(view, hp)
+    return loss(view.theta, theta_hat), partition(view.s, hp.tau).sizes
 
 
 _FITTED_ESTIMATORS = ("sureshrink", "asus", "aux-scr", "ejs", "oracle-loss")
@@ -407,6 +426,12 @@ def run_risk_experiment(
     oracle, fit once on the replication-averaged loss and then scored per
     replication). Child seeds derive deterministically from ``seed``
     (default spec.seed), so identical inputs give identical reports.
+
+    Each replication is generated once. When "oracle" is requested, its
+    scoring view (the batch with ``s=xi``: y, sigma, theta and xi, 32
+    bytes per coordinate) is kept until every replication has been fitted;
+    otherwise no batch outlives its replication. A failure in any
+    replication, fitting or scoring, raises RuntimeError naming it.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
@@ -424,6 +449,7 @@ def run_risk_experiment(
     ts = {nm: [] for nm in fitted_names}
     sizes = {nm: [] for nm in fitted_names}
     oracle_acc = None
+    oracle_views = []
 
     for r in range(n_reps):
         try:
@@ -434,6 +460,7 @@ def run_risk_experiment(
                         batch, tau_cap=oracle_tau_cap, t_points=oracle_t_points
                     )
                 oracle_acc.add(batch)
+                oracle_views.append(dataclasses.replace(batch, s=batch.xi))
             for nm in fitted_names:
                 fr = _fit_named(nm, batch, k, mn_factor, hybrid)
                 losses[nm].append(fr.loss_value)
@@ -459,9 +486,11 @@ def run_risk_experiment(
         hp = HyperParams(tau=[tau_star], t=[t1, t2])
         or_losses = []
         or_sizes = []
-        for r in range(n_reps):
-            batch = generate(dataclasses.replace(spec, seed=child_seeds[r]))
-            lv, sz = _oracle_loss_at(batch, hp)
+        for r, view in enumerate(oracle_views):
+            try:
+                lv, sz = _oracle_loss_at(view, hp)
+            except Exception as exc:
+                raise RuntimeError(f"replication {r} failed: {exc}") from exc
             or_losses.append(lv)
             or_sizes.append(sz)
         rr = _summarize("oracle", or_losses, None, None, or_sizes)

@@ -37,6 +37,7 @@ from .core import (
     DataBatch,
     FitResult,
     HyperParams,
+    _sure_rows,
     apply_estimator,
     loss,
     sure,
@@ -59,6 +60,9 @@ __all__ = [
 # elements of one (groups x coordinates) temporary in _group_terms; the
 # working set of the search stays on this budget whatever n is
 _CHUNK_ELEMENTS = 1 << 12
+# elements of one (breakpoints x coordinates) stack of thresholds in
+# sweep_tau; with the SURE formula's temporaries about 1 MB is live at once
+_SWEEP_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -655,10 +659,16 @@ def sweep_tau(batch: DataBatch, cfg: SearchConfig | None = None) -> SweepCurve:
     if not feasible.size:
         raise ValueError("no feasible breakpoint candidate for K=2")
     taus, t1s, t2s = cut.grid[feasible], t1[feasible], t2[feasible]
-    sures = [sure(batch, HyperParams(tau=[tau], t=[a, b])) for tau, a, b in zip(taus, t1s, t2s)]
+    # each point's SURE as core.sure gives it, with group 1 at s <= tau
+    sures = np.empty(taus.size)
+    step = max(1, _SWEEP_ELEMENTS // batch.n)
+    for lo in range(0, taus.size, step):
+        rows = slice(lo, lo + step)
+        t_rows = np.where(batch.s <= taus[rows, None], t1s[rows, None], t2s[rows, None])
+        sures[rows] = _sure_rows(batch, t_rows)
     return SweepCurve(
         tau_values=taus,
-        sure_values=np.array(sures),
+        sure_values=sures,
         t1_values=t1s,
         t2_values=t2s,
     )

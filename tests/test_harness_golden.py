@@ -6,7 +6,8 @@ fitted estimator: each replication's loss, the summary statistics and the
 mean hyperparameters and group sizes, all as exact ``repr`` strings. It also
 holds a SHA-256 digest of every field of `generate` at the full auxiliary
 sample count m=200. A change to the harness or the generators that is meant
-to be a pure speed-up must leave every entry as it is.
+to be a pure speed-up must leave every entry as it is. The harness must also
+generate each replication exactly once, side oracle included.
 
 Regenerate only for a deliberate change of the random stream or the reports:
 
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from auxshrink import ScenarioSpec, generate, run_risk_experiment
+from auxshrink import ScenarioSpec, generate, run_risk_experiment, sim
 
 GOLDEN_PATH = Path(__file__).with_name("harness_golden.json")
 REPS = 3
@@ -106,6 +107,20 @@ def test_generate_matches_record(name, golden):
 @pytest.mark.parametrize("name", list(SPECS))
 def test_report_matches_record(name, golden):
     assert experiment_record(SPECS[name]) == golden[name]["report"]
+
+
+@pytest.mark.parametrize("estimators", [ESTIMATORS, ("oracle",), ("sureshrink",)])
+def test_one_generation_per_replication(monkeypatch, estimators):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec.seed)
+        return generate(spec)
+
+    monkeypatch.setattr(sim, "generate", counted)
+    run_risk_experiment(SPECS["toy"], list(estimators), REPS, mn_factor=MN_FACTOR)
+    assert len(calls) == REPS
+    assert len(set(calls)) == REPS
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from auxshrink import (
+    apply_estimator,
     ScenarioSpec,
     gen_asymptotic,
     gen_one_sample,
@@ -11,6 +13,7 @@ from auxshrink import (
     gen_two_sample,
     generate,
     run_risk_experiment,
+    sim,
 )
 
 
@@ -206,6 +209,21 @@ class TestRunRiskExperiment:
         with pytest.raises(RuntimeError, match="replication 0"):
             run_risk_experiment(spec, ["sureshrink"], n_reps=2)
 
+    def test_oracle_scoring_failure_reports_replication(self, monkeypatch):
+        calls = []
+
+        def failing(batch, hp):
+            calls.append(hp)
+            if len(calls) == 2:
+                raise FloatingPointError("injected")
+            return apply_estimator(batch, hp)
+
+        monkeypatch.setattr(sim, "apply_estimator", failing)
+        spec = ScenarioSpec(family="toy", n=500, seed=67)
+        with pytest.raises(RuntimeError, match="replication 1 failed: injected"):
+            run_risk_experiment(spec, ["oracle"], n_reps=3)
+        assert len(calls) == 2
+
     def test_risk_ordering_small_scenario(self):
         spec = ScenarioSpec(family="one-sample-s1", n=600, m=30, aux_variant=2, seed=79)
         rep = run_risk_experiment(spec, ["oracle", "asus", "sureshrink"], n_reps=6,
@@ -235,6 +253,22 @@ class TestRunRiskExperiment:
         ol = rep.results["oracle-loss"].losses
         assert np.all(ol <= rep.results["asus"].losses + 1e-12)
         assert np.all(ol <= rep.results["sureshrink"].losses + 1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    ScenarioSpec(family="one-sample-s1", n=5000, m=200, aux_variant=2),
+    ScenarioSpec(family="asymptotic-s1", n=5000, m=200, aux_variant=1),
+])
+def test_averaged_aux_noise_is_not_held_as_a_matrix(spec):
+    # the (m, n) float64 draw alone would take 8 MB
+    generate(spec)
+    tracemalloc.start()
+    try:
+        generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_generate_dispatch_covers_all_families():
