@@ -18,9 +18,8 @@ import sys
 
 import numpy as np
 
-from .core import DataBatch, partition, sure, universal_threshold
-from .estimators import fit_auxscr, fit_ejs
-from .sim import FAMILIES, ScenarioSpec, run_risk_experiment
+from .core import DataBatch, partition, universal_threshold
+from .sim import ALIASES, ESTIMATORS, FAMILIES, ScenarioSpec, run_risk_experiment
 from .theory import (
     RegimeParams,
     efficiency_diagnostics,
@@ -28,9 +27,12 @@ from .theory import (
     risk_factor_h,
     risk_gap_first_order,
 )
-from .tuner import SearchConfig, fit_asus, fit_sureshrink, select_k, sweep_tau
+from .tuner import SearchConfig, fit_sureshrink, select_k, sweep_tau
 
-METHODS = ("asus", "sureshrink", "auxscr", "ejs")
+# unused here; perfbench/tracing.py patches these names (ROADMAP item 6)
+from .estimators import fit_auxscr, fit_ejs
+from .tuner import fit_asus
+
 DEFAULT_ESTIMATORS = ("oracle", "asus", "aux-scr", "sureshrink")
 CONFIG_REQUIRED = ("scenario", "n", "reps", "seed")
 CONFIG_OPTIONAL = ("m", "aux_variant", "estimators")
@@ -140,45 +142,30 @@ def _estimates_csv(ids, batch, theta_hat, groups) -> str:
     return buf.getvalue()
 
 
-def _fit_for_method(method, batch, k, mn_factor, hybrid):
-    if method == "sureshrink":
-        return fit_sureshrink(batch, hybrid=hybrid)
-    if method == "asus":
-        return fit_asus(batch, SearchConfig(k=k, mn_factor=mn_factor, hybrid=hybrid))
-    if method == "auxscr":
-        return fit_auxscr(batch, mn_factor=mn_factor)
-    if method == "ejs":
-        return fit_ejs(batch)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _groups_for_method(method, batch, fr):
-    if method == "auxscr":
-        return (np.abs(batch.s) > fr.hp.tau[0]).astype(int) + 1
-    if method == "ejs":
-        return np.ones(batch.n, dtype=int)
-    return partition(batch.s, fr.hp.tau).assignment + 1
-
-
 def cmd_estimate(args) -> int:
     batch, ids = read_batch_csv(args.input)
-    fr = _fit_for_method(args.method, batch, args.k, args.mn_factor, args.hybrid)
-    groups = _groups_for_method(args.method, batch, fr)
+    method = ALIASES.get(args.method, args.method)
+    cfg = SearchConfig(k=args.k, mn_factor=args.mn_factor, hybrid=args.hybrid)
+    fr = ESTIMATORS[method].fit(batch, cfg)
+    tau = [] if fr.hp is None else fr.hp.tau.tolist()
+    t = [] if fr.hp is None else fr.hp.t.tolist()
+    groups = partition(batch.s, tau).assignment + 1
     report = {
-        "method": args.method,
+        "method": method,
         "n": batch.n,
-        "k": int(fr.group_sizes.size) if args.method != "ejs" else 1,
-        "t_n": universal_threshold(batch.n),
-        "tau": [] if fr.hp is None else list(fr.hp.tau),
-        "t": [] if fr.hp is None else list(fr.hp.t),
+        "k": int(fr.group_sizes.size),
+        "t_n": _round12(universal_threshold(batch.n)),
+        # exact, unlike the other floats, so that they reproduce the fit
+        "tau": tau,
+        "t": t,
         "group_sizes": [int(v) for v in fr.group_sizes],
-        "sure": fr.sure_value,
-        "mn_factor": args.mn_factor,
+        "sure": _round12(fr.sure_value),
+        "mn_factor": _round12(args.mn_factor),
         "hybrid": bool(args.hybrid),
     }
     out = _OutputSet()
     out.add(args.output, _estimates_csv(ids, batch, fr.theta_hat, groups))
-    out.add(args.report, json.dumps(_round12(report), indent=2) + "\n")
+    out.add(args.report, json.dumps(report, indent=2) + "\n")
     out.commit()
     return 0
 
@@ -247,7 +234,7 @@ def cmd_simulate(args) -> int:
         seed = args.seed
         estimators = (
             [e.strip() for e in args.estimators.split(",") if e.strip()]
-            if args.estimators
+            if args.estimators is not None
             else list(DEFAULT_ESTIMATORS)
         )
     if scenario not in FAMILIES:
@@ -331,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--input", required=True)
     e.add_argument("--output", required=True, help="estimates CSV path")
     e.add_argument("--report", required=True, help="fit report JSON path")
-    e.add_argument("--method", choices=METHODS, default="asus")
+    methods = [nm for nm, est in ESTIMATORS.items() if not est.needs_truth]
+    methods += [alias for alias, nm in ALIASES.items() if nm in methods]
+    e.add_argument("--method", choices=methods, default="asus")
     e.add_argument("--k", type=int, default=2)
     add_common(e)
     e.set_defaults(func=cmd_estimate)

@@ -21,7 +21,8 @@ from .core import (
     HyperParams,
     apply_estimator,
     loss,
-    sure,
+    partition,
+    sure,  # unused here; perfbench/tracing.py patches it (ROADMAP item 6)
 )
 from .tuner import (
     SearchConfig,
@@ -30,6 +31,7 @@ from .tuner import (
     _fit_grid,
     _infeasible,
     _min_loss_threshold,
+    _scored_fit,
     _screen_group,
     _SortedBatch,
     _sure_group,
@@ -44,19 +46,6 @@ __all__ = [
 ]
 
 
-def _scored_fit(batch: DataBatch, hp: HyperParams, sizes: np.ndarray, name: str) -> FitResult:
-    """The estimate of ``hp`` on ``batch`` with its SURE and, given theta, its loss."""
-    theta_hat = apply_estimator(batch, hp)
-    return FitResult(
-        theta_hat=theta_hat,
-        hp=hp,
-        group_sizes=sizes,
-        sure_value=sure(batch, hp),
-        loss_value=loss(batch.theta, theta_hat) if batch.theta is not None else None,
-        estimator_name=name,
-    )
-
-
 def fit_auxscr(batch: DataBatch, mn_factor: float = 50.0) -> FitResult:
     """Screening baseline: zero out small-|S| coordinates, threshold the rest.
 
@@ -66,8 +55,10 @@ def fit_auxscr(batch: DataBatch, mn_factor: float = 50.0) -> FitResult:
     over the interior grid on |S| extended by 0 (screen nothing) and
     max |S| (screen everything), minimizing the same SURE criterion.
 
-    The hyperparameters split on |S|, so the estimate and the SURE are those
-    of the batch whose auxiliary sequence is |S|.
+    The hyperparameters reproduce the fit through ``core`` on the batch as
+    given, which splits on S itself. When some S_i < 0, the screen
+    -tau <= S <= tau is the middle of three groups:
+    tau = [nextafter(-tau, -inf), tau] and t = [t_keep, t_screen, t_keep].
     """
     abs_s = np.abs(batch.s)
     grid = tau_grid(abs_s, mn_factor)
@@ -76,8 +67,11 @@ def fit_auxscr(batch: DataBatch, mn_factor: float = 50.0) -> FitResult:
     cut = _Cut(ctx, tau_cands, _screen_group, functools.partial(_sure_group, hybrid=False),
                ctx.s2_total, skip_empty=False)
     _, tau, t, sizes = _best(cut, 2)
-    hp = HyperParams(tau=tau, t=t)
-    return _scored_fit(dataclasses.replace(batch, s=abs_s), hp, sizes, "aux-scr")
+    if (batch.s < 0).any():
+        tau = np.array([np.nextafter(-tau[0], -np.inf), tau[0]])
+        t = t[[1, 0, 1]]
+        sizes = partition(batch.s, tau).sizes
+    return _scored_fit(batch, HyperParams(tau=tau, t=t), sizes, "aux-scr")
 
 
 def fit_oracle_loss(batch: DataBatch, cfg: SearchConfig | None = None) -> FitResult:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,6 +46,9 @@ from .tuner import SearchConfig, _loss_values, _prefix, _SortedBatch, fit_asus, 
 
 __all__ = [
     "FAMILIES",
+    "ESTIMATORS",
+    "ALIASES",
+    "Estimator",
     "ScenarioSpec",
     "EstimatorRisk",
     "RiskReport",
@@ -391,41 +394,61 @@ def _oracle_loss_at(view: DataBatch, hp: HyperParams):
     return loss(view.theta, theta_hat), partition(view.s, hp.tau).sizes
 
 
-_FITTED_ESTIMATORS = ("sureshrink", "asus", "aux-scr", "ejs", "oracle-loss")
+@dataclass(frozen=True)
+class Estimator:
+    """A registry entry. ``fit(batch, cfg)`` returns a FitResult named
+    ``name`` whose hp (None for ejs) reproduces it through ``core`` on the
+    batch as given; ``needs_truth`` marks fits that read batch.theta."""
+
+    name: str
+    fit: Callable  # (DataBatch, SearchConfig) -> FitResult
+    needs_truth: bool = False
 
 
-def _fit_named(name: str, batch: DataBatch, k: int, mn_factor: float, hybrid: bool):
-    if name == "sureshrink":
-        return fit_sureshrink(batch, hybrid=hybrid)
-    if name == "asus":
-        return fit_asus(batch, SearchConfig(k=k, mn_factor=mn_factor, hybrid=hybrid))
-    if name == "aux-scr":
-        return fit_auxscr(batch, mn_factor=mn_factor)
-    if name == "ejs":
-        return fit_ejs(batch)
-    if name == "oracle-loss":
-        return fit_oracle_loss(batch, SearchConfig(k=k, mn_factor=mn_factor))
-    raise ValueError(f"unknown estimator {name!r}")
+# Each fit looks up this module's name for the fitting function when it runs,
+# so replacing that name here reroutes every caller of the registry.
+ESTIMATORS = {est.name: est for est in (
+    Estimator("asus", lambda batch, cfg: fit_asus(batch, cfg)),
+    Estimator("sureshrink", lambda batch, cfg: fit_sureshrink(batch, hybrid=cfg.hybrid)),
+    Estimator("aux-scr", lambda batch, cfg: fit_auxscr(batch, mn_factor=cfg.mn_factor)),
+    Estimator("ejs", lambda batch, cfg: fit_ejs(batch)),
+    Estimator("oracle-loss", lambda batch, cfg: fit_oracle_loss(batch, cfg), needs_truth=True),
+)}
+ALIASES = {"auxscr": "aux-scr"}
+
+
+def _resolve_estimators(names) -> list:
+    """Registry names of ``names`` (aliases resolved, "oracle" kept), in order.
+    An unknown or repeated name, or none at all, raises ValueError."""
+    out = []
+    for name in names:
+        nm = ALIASES.get(name, name)
+        if nm != "oracle" and nm not in ESTIMATORS:
+            known = ", ".join([*ESTIMATORS, "oracle"])
+            raise ValueError(f"unknown estimator {name!r}; choose from {known}")
+        if nm in out:
+            raise ValueError(f"estimator {nm!r} is requested twice")
+        out.append(nm)
+    if not out:
+        raise ValueError("no estimator requested")
+    return out
 
 
 def run_risk_experiment(
     spec: ScenarioSpec,
     estimators: list,
     n_reps: int,
-    seed: Optional[int] = None,
     k: int = 2,
     mn_factor: float = 50.0,
     hybrid: bool = True,
-    oracle_tau_cap: int = 65,
-    oracle_t_points: int = 513,
 ) -> RiskReport:
     """Replicate the scenario n_reps times and summarize estimator risks.
 
-    ``estimators`` may contain any of "sureshrink", "asus", "aux-scr",
-    "ejs", "oracle-loss" (refit per replication) and "oracle" (the side
-    oracle, fit once on the replication-averaged loss and then scored per
-    replication). Child seeds derive deterministically from ``seed``
-    (default spec.seed), so identical inputs give identical reports.
+    ``estimators`` names, each once, registry entries (``ESTIMATORS``, aliases
+    allowed; refit per replication) and "oracle" (the side oracle, fit once
+    on the replication-averaged loss and then scored per replication). Child
+    seeds derive deterministically from spec.seed, so identical inputs give
+    identical reports.
 
     Each replication is generated once. When "oracle" is requested, its
     scoring view (the batch with ``s=xi``: y, sigma, theta and xi, 32
@@ -435,12 +458,10 @@ def run_risk_experiment(
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
-    names = list(estimators)
-    for name in names:
-        if name != "oracle" and name not in _FITTED_ESTIMATORS:
-            raise ValueError(f"unknown estimator {name!r}")
-    base = spec.seed if seed is None else seed
-    child_seeds = [int(s) for s in np.random.SeedSequence(base).generate_state(n_reps, np.uint64)]
+    names = _resolve_estimators(estimators)
+    cfg = SearchConfig(k=k, mn_factor=mn_factor, hybrid=hybrid)
+    child_seeds = [int(s) for s in
+                   np.random.SeedSequence(spec.seed).generate_state(n_reps, np.uint64)]
 
     want_oracle = "oracle" in names
     fitted_names = [nm for nm in names if nm != "oracle"]
@@ -456,13 +477,11 @@ def run_risk_experiment(
             batch = generate(dataclasses.replace(spec, seed=child_seeds[r]))
             if want_oracle:
                 if oracle_acc is None:
-                    oracle_acc = _SideOracleAccumulator(
-                        batch, tau_cap=oracle_tau_cap, t_points=oracle_t_points
-                    )
+                    oracle_acc = _SideOracleAccumulator(batch)
                 oracle_acc.add(batch)
                 oracle_views.append(dataclasses.replace(batch, s=batch.xi))
             for nm in fitted_names:
-                fr = _fit_named(nm, batch, k, mn_factor, hybrid)
+                fr = ESTIMATORS[nm].fit(batch, cfg)
                 losses[nm].append(fr.loss_value)
                 if fr.hp is not None:
                     taus[nm].append(np.asarray(fr.hp.tau))
@@ -473,13 +492,8 @@ def run_risk_experiment(
 
     results = {}
     for nm in fitted_names:
-        results[nm] = _summarize(
-            nm,
-            losses[nm],
-            taus[nm] if taus[nm] else None,
-            ts[nm] if ts[nm] else None,
-            sizes[nm] if sizes[nm] else None,
-        )
+        results[nm] = _summarize(nm, losses[nm], taus[nm] or None, ts[nm] or None,
+                                 sizes[nm] or None)
 
     if want_oracle:
         tau_star, t1, t2 = oracle_acc.minimize()

@@ -161,15 +161,6 @@ def _sure_values(p0: np.ndarray, p2: np.ndarray, t_values: np.ndarray,
     return v
 
 
-def _objective_values(zs: np.ndarray, s2s: np.ndarray, t_values: np.ndarray) -> np.ndarray:
-    """Group SURE term of one group at each t.
-
-    ``zs`` must be sorted ascending with ``s2s`` aligned.
-    """
-    j = np.searchsorted(zs, t_values, side="right")
-    return _sure_values(_prefix(s2s), _prefix(s2s * zs * zs), t_values, j)
-
-
 def _loss_parts(prefixes: list, j: np.ndarray) -> tuple:
     """The parts of a group's soft-thresholding loss at thresholds with ``j``
     z values at or below them: sum theta^2 below plus sum (y-theta)^2 above,
@@ -221,7 +212,7 @@ def fit_group_threshold(z, sigma, n_global: int, hybrid: bool = True) -> float:
     exceeds 1 by no more than n^{-1/2} (ln n)^{3/2}, the group looks like
     pure noise and the universal threshold is returned. Otherwise the SURE
     objective is minimized over the group's candidate set, smallest
-    threshold winning ties.
+    threshold winning ties. This is the group term every grouped fit uses.
     """
     z = np.asarray(z, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -229,15 +220,11 @@ def fit_group_threshold(z, sigma, n_global: int, hybrid: bool = True) -> float:
         raise ValueError("group is empty")
     if z.shape != sigma.shape:
         raise ValueError("z and sigma must have equal length")
-    order = np.argsort(z, kind="stable")
-    zs = z[order]
-    t_n = universal_threshold(n_global)
-    capped_sum = float(np.minimum(zs * zs, t_n * t_n).sum())
-    if hybrid and _hybrid_fires(capped_sum, zs.size, n_global):
-        return t_n
-    cands = threshold_candidates(zs, t_n)
-    vals = _objective_values(zs, sigma[order] ** 2, cands)
-    return float(cands[int(np.argmin(vals))])  # first occurrence == smallest threshold
+    if np.any(z < 0):
+        raise ValueError("z must hold magnitudes |y|/sigma >= 0")
+    ctx = _SortedBatch.of_group(z, sigma, n_global)
+    t, _ = _sure_group(ctx, np.ones((1, z.size), dtype=bool), hybrid)
+    return float(t[0])
 
 
 class _SortedBatch:
@@ -247,24 +234,34 @@ class _SortedBatch:
     which need batch.theta); the others are None."""
 
     def __init__(self, batch: DataBatch, side: np.ndarray, loss: bool = False):
-        self.n = batch.n
-        self.t_n = universal_threshold(batch.n)
-        z = np.abs(batch.y) / batch.sigma
-        order = np.argsort(z, kind="stable")
-        self.zs = z[order]
-        sigma = batch.sigma[order]
-        self.s2s = sigma**2
+        order = self._sort(np.abs(batch.y) / batch.sigma, batch.sigma, batch.n, loss)
         self.side = side[order]
-        self.s2_total = float(self.s2s.sum())
-        self.capped = self.s2z2 = self.loss_columns = None
         if loss:
-            y = batch.y[order]
-            theta = batch.theta[order]
+            y, theta, sigma = batch.y[order], batch.theta[order], batch.sigma[order]
             err = y - theta
             self.loss_columns = (theta**2, err**2, sigma * np.sign(y) * err, self.s2s)
-        else:
+
+    @classmethod
+    def of_group(cls, z: np.ndarray, sigma: np.ndarray, n: int) -> "_SortedBatch":
+        """The SURE columns of one group of standardized magnitudes ``z``,
+        with n and t_n those of a batch of ``n`` coordinates; no side."""
+        ctx = cls.__new__(cls)
+        ctx._sort(z, sigma, n, loss=False)
+        return ctx
+
+    def _sort(self, z: np.ndarray, sigma: np.ndarray, n: int, loss: bool) -> np.ndarray:
+        """Sort by z and, without ``loss``, set the SURE columns; returns the order."""
+        self.n = n
+        self.t_n = universal_threshold(n)
+        order = np.argsort(z, kind="stable")
+        self.zs = z[order]
+        self.s2s = sigma[order] ** 2
+        self.s2_total = float(self.s2s.sum())
+        self.side = self.capped = self.s2z2 = self.loss_columns = None
+        if not loss:
             self.capped = np.minimum(self.zs**2, self.t_n**2)
             self.s2z2 = self.s2s * self.zs * self.zs
+        return order
 
     @functools.cached_property
     def candidates(self) -> tuple:
@@ -609,12 +606,8 @@ def _infeasible(k: int) -> ValueError:
     )
 
 
-def _fit_sure(batch: DataBatch, cfg: SearchConfig, name: str) -> FitResult:
-    best = _best(_sure_cut(batch, _fit_grid(batch.s, cfg.k, cfg.mn_factor), cfg.hybrid), cfg.k)
-    if best is None:
-        raise _infeasible(cfg.k)
-    _, tau, t, sizes = best
-    hp = HyperParams(tau=tau, t=t)
+def _scored_fit(batch: DataBatch, hp: HyperParams, sizes: np.ndarray, name: str) -> FitResult:
+    """The estimate of ``hp`` on ``batch`` with its SURE and, given theta, its loss."""
     theta_hat = apply_estimator(batch, hp)
     return FitResult(
         theta_hat=theta_hat,
@@ -624,6 +617,14 @@ def _fit_sure(batch: DataBatch, cfg: SearchConfig, name: str) -> FitResult:
         loss_value=loss(batch.theta, theta_hat) if batch.theta is not None else None,
         estimator_name=name,
     )
+
+
+def _fit_sure(batch: DataBatch, cfg: SearchConfig, name: str) -> FitResult:
+    best = _best(_sure_cut(batch, _fit_grid(batch.s, cfg.k, cfg.mn_factor), cfg.hybrid), cfg.k)
+    if best is None:
+        raise _infeasible(cfg.k)
+    _, tau, t, sizes = best
+    return _scored_fit(batch, HyperParams(tau=tau, t=t), sizes, name)
 
 
 def fit_sureshrink(batch: DataBatch, hybrid: bool = True) -> FitResult:

@@ -37,11 +37,11 @@ from auxshrink.cli import main
 from auxshrink.sim import _SideOracleAccumulator
 from auxshrink.tuner import (
     _loss_values,
-    _objective_values,
     _prefix,
     _SortedBatch,
     threshold_candidates,
 )
+from brute_force import _objective_values
 from population_risk import references
 
 N_TABLE = 200

@@ -31,6 +31,19 @@ def toy_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def signed_csv(tmp_path):
+    batch = generate(ScenarioSpec(family="two-sample-s2", n=800, seed=21))
+    signs = np.where(np.random.default_rng(22).random(batch.n) < 0.5, -1.0, 1.0)
+    path = tmp_path / "signed.csv"
+    rows = [
+        (f"c{i}", f"{batch.y[i]:.17g}", f"{batch.sigma[i]:.17g}", f"{s:.17g}")
+        for i, s in enumerate(batch.s * signs)
+    ]
+    write_batch_csv(path, rows)
+    return path
+
+
 class TestReadBatchCsv:
     def test_sigma_column_optional(self, tmp_path):
         path = tmp_path / "b.csv"
@@ -157,7 +170,8 @@ class TestEstimate:
         rc, out, rep = self.run(toy_csv, tmp_path, "--method", "auxscr")
         assert rc == 0
         report = json.loads(rep.read_text())
-        assert report["k"] == 2 and sum(report["group_sizes"]) == report["n"]
+        # the toy S is signed, so the screen is the middle of three groups
+        assert report["k"] == 3 and sum(report["group_sizes"]) == report["n"]
         rc, out, rep = self.run(toy_csv, tmp_path, "--method", "ejs")
         assert rc == 0
         report = json.loads(rep.read_text())
@@ -165,6 +179,31 @@ class TestEstimate:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["group"] == "1" for r in rows)
+
+    def test_auxscr_on_signed_s_reproduces_through_core(self, signed_csv, tmp_path):
+        rc, out, rep = self.run(signed_csv, tmp_path, "--method", "auxscr")
+        assert rc == 0
+        report = json.loads(rep.read_text())
+        batch, _ = read_batch_csv(signed_csv)
+        with open(out) as fh:
+            groups = [int(row["group"]) for row in csv.DictReader(fh)]
+        counts = np.bincount(groups, minlength=report["k"] + 1)[1:]
+        assert counts.tolist() == report["group_sizes"]
+        rescored = sure(batch, HyperParams(tau=report["tau"], t=report["t"]))
+        assert float(f"{rescored:.12g}") == report["sure"]
+
+    def test_alias_writes_the_same_files(self, toy_csv, tmp_path):
+        files = []
+        for method in ("auxscr", "aux-scr"):
+            rc, out, rep = self.run(toy_csv, tmp_path, "--method", method)
+            assert rc == 0
+            files.append((out.read_bytes(), rep.read_bytes()))
+        assert files[0] == files[1]
+        assert json.loads(files[0][1])["method"] == "aux-scr"
+
+    def test_ground_truth_estimators_are_not_offered(self, toy_csv, tmp_path):
+        with pytest.raises(SystemExit):
+            self.run(toy_csv, tmp_path, "--method", "oracle-loss")
 
     def test_degenerate_aux_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -217,11 +256,11 @@ class TestSweep:
         assert len(ref) == 1 and sweep
         ss = json.loads(ss_rep.read_text())
         assert float(f'{float(ref[0]["sure"]):.12g}') == ss["sure"]
-        assert float(f'{float(ref[0]["t1"]):.12g}') == ss["t"][0]
+        assert float(ref[0]["t1"]) == ss["t"][0]
         asus = json.loads(est_rep.read_text())
         best = min(sweep, key=lambda r: float(r["sure"]))
         assert float(f'{float(best["sure"]):.12g}') == asus["sure"]
-        assert float(f'{float(best["tau"]):.12g}') == asus["tau"][0]
+        assert float(best["tau"]) == asus["tau"][0]
         # informative aux: the grouped minimum sits strictly below the pooled fit
         assert float(best["sure"]) < float(ref[0]["sure"])
 
@@ -346,6 +385,24 @@ class TestSimulate:
         assert report["scenario"] == "two-sample-s1"
         assert set(report["estimators"]) == {"sureshrink", "asus"}
 
+
+    @pytest.mark.parametrize("estimators, message", [
+        (",", "no estimator requested"),
+        ("", "no estimator requested"),
+        ("sureshrink,auxscr,aux-scr", "'aux-scr' is requested twice"),
+    ])
+    def test_empty_or_repeated_estimator_list_fails(self, tmp_path, capsys, estimators,
+                                                     message):
+        out = tmp_path / "rep.json"
+        rc = main(
+            [
+                "simulate", "--scenario", "toy", "--n", "200", "--reps", "2", "--seed", "3",
+                "--estimators", estimators, "--output", str(out),
+            ]
+        )
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("missing", ["scenario", "n", "reps", "seed"])
     def test_config_missing_key_is_named(self, tmp_path, capsys, missing):

@@ -204,6 +204,24 @@ class TestRunRiskExperiment:
         with pytest.raises(ValueError):
             run_risk_experiment(spec, ["nope"], n_reps=2)
 
+    @pytest.mark.parametrize("names, message", [
+        ([], "no estimator requested"),
+        (["sureshrink", "sureshrink"], "'sureshrink' is requested twice"),
+        (["auxscr", "aux-scr"], "'aux-scr' is requested twice"),
+        (["oracle", "asus", "oracle"], "'oracle' is requested twice"),
+    ])
+    def test_empty_or_repeated_estimators_rejected(self, names, message):
+        spec = ScenarioSpec(family="toy", n=400, seed=3)
+        with pytest.raises(ValueError, match=message):
+            run_risk_experiment(spec, names, n_reps=3)
+
+    def test_alias_reports_under_the_registry_name(self):
+        spec = ScenarioSpec(family="toy", n=400, seed=3)
+        a = run_risk_experiment(spec, ["auxscr"], n_reps=2)
+        b = run_risk_experiment(spec, ["aux-scr"], n_reps=2)
+        assert list(a.results) == ["aux-scr"]
+        np.testing.assert_array_equal(a.results["aux-scr"].losses, b.results["aux-scr"].losses)
+
     def test_generator_failure_reports_replication(self):
         spec = ScenarioSpec(family="one-sample-s1", n=100, m=20, aux_variant=1, seed=1)
         with pytest.raises(RuntimeError, match="replication 0"):

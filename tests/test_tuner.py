@@ -18,7 +18,7 @@ from auxshrink import (
     threshold_candidates,
     universal_threshold,
 )
-from auxshrink.tuner import _objective_values
+from brute_force import _objective_values
 
 
 def random_batch(rng, n, with_theta=False):
@@ -107,6 +107,11 @@ class TestFitGroupThreshold:
         t1 = fit_group_threshold(z[~null], batch.sigma[~null], batch.n)
         assert abs(t0 - 4.2) <= 0.1
         assert abs(t1 - 0.15) <= 0.1
+
+
+def test_fit_group_threshold_rejects_negative_magnitudes():
+    with pytest.raises(ValueError, match="magnitudes"):
+        fit_group_threshold([0.5, -1.0, 2.0], np.ones(3), 100)
 
 
 class TestFitAsus:
