@@ -35,7 +35,15 @@ from .tuner import fit_asus
 
 DEFAULT_ESTIMATORS = ("oracle", "asus", "aux-scr", "sureshrink")
 CONFIG_REQUIRED = ("scenario", "n", "reps", "seed")
-CONFIG_OPTIONAL = ("m", "aux_variant", "estimators")
+# what each simulate config key must hold; a JSON bool is no integer
+CONFIG_TYPES = {
+    "scenario": ("a string", lambda v: isinstance(v, str)),
+    "estimators": ("a list of strings",
+                   lambda v: isinstance(v, list) and all(isinstance(e, str) for e in v)),
+    **{key: ("an integer", lambda v: type(v) is int) for key in ("n", "reps", "seed")},
+    **{key: ("an integer or null", lambda v: v is None or type(v) is int)
+       for key in ("m", "aux_variant")},
+}
 
 
 def _round12(x):
@@ -214,24 +222,20 @@ def cmd_simulate(args) -> int:
         for key in CONFIG_REQUIRED:
             if key not in cfg:
                 raise ValueError(f"{args.config}: missing required key {key!r}")
-        for key in sorted(set(cfg) - set(CONFIG_REQUIRED + CONFIG_OPTIONAL)):
+        for key in sorted(set(cfg) - set(CONFIG_TYPES)):
             raise ValueError(f"{args.config}: unknown key {key!r}")
-        scenario = cfg["scenario"]
-        n = int(cfg["n"])
-        m = cfg.get("m")
-        aux_variant = cfg.get("aux_variant")
-        reps = int(cfg["reps"])
-        seed = int(cfg["seed"])
+        for key, (kind, ok) in CONFIG_TYPES.items():
+            if key in cfg and not ok(cfg[key]):
+                raise ValueError(f"{args.config}: key {key!r} must be {kind}, "
+                                 f"not {json.dumps(cfg[key])}")
+        scenario, n, reps, seed = (cfg[key] for key in CONFIG_REQUIRED)
+        m, aux_variant = cfg.get("m"), cfg.get("aux_variant")
         estimators = cfg.get("estimators", list(DEFAULT_ESTIMATORS))
     else:
         if args.scenario is None or args.reps is None or args.seed is None:
             raise ValueError("simulate needs --scenario, --reps and --seed (or --config)")
-        scenario = args.scenario
-        n = args.n
-        m = args.m
-        aux_variant = args.aux_variant
-        reps = args.reps
-        seed = args.seed
+        scenario, n, reps, seed = args.scenario, args.n, args.reps, args.seed
+        m, aux_variant = args.m, args.aux_variant
         estimators = (
             [e.strip() for e in args.estimators.split(",") if e.strip()]
             if args.estimators is not None
@@ -241,13 +245,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {', '.join(FAMILIES)}")
     if n is None:
         n = 10000 if scenario == "toy" else 5000
-    spec = ScenarioSpec(
-        family=scenario,
-        n=n,
-        m=None if m is None else int(m),
-        aux_variant=None if aux_variant is None else int(aux_variant),
-        seed=int(seed),
-    )
+    spec = ScenarioSpec(family=scenario, n=n, m=m, aux_variant=aux_variant, seed=seed)
     report = run_risk_experiment(
         spec,
         estimators,

@@ -23,12 +23,12 @@ toy
 All generators are deterministic functions of ScenarioSpec.seed. Averaged
 auxiliary noise is summed one row of n draws at a time, never as an (m, n)
 matrix. The harness generates each replication's batch once and fits each
-requested estimator on it; the side oracle row instead minimizes the
-replication-averaged loss over a common (split, threshold) grid,
-approximating the population risk minimizer, and then scores that rule on
-every replication. Only while the side oracle is requested, the harness
-keeps each replication's scoring view (y, sigma, theta and xi: 32 bytes
-per coordinate) until the grid is minimized.
+requested estimator on it. For the side oracle row it adds each
+replication's loss on a common (split, threshold) grid in one histogram
+pass, minimizes the average, approximating the population risk minimizer,
+and then scores that rule on every replication. Only while the side oracle
+is requested, the harness keeps each replication's scoring view (y, sigma,
+theta and xi: 32 bytes per coordinate) until the grid is minimized.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import DataBatch, HyperParams, apply_estimator, loss, partition, universal_threshold
 from .estimators import fit_auxscr, fit_ejs, fit_oracle_loss, xi_split_candidates
-from .tuner import SearchConfig, _loss_values, _prefix, _SortedBatch, fit_asus, fit_sureshrink
+from .tuner import SearchConfig, fit_asus, fit_sureshrink
 
 __all__ = [
     "FAMILIES",
@@ -353,38 +353,55 @@ def _summarize(name, losses, taus, ts, sizes) -> EstimatorRisk:
 class _SideOracleAccumulator:
     """Average, across replications, the loss of every (split, t1, t2)
     combination on common grids, then minimize. Groups come from the latent
-    sequence: group 1 is xi <= tau."""
+    sequence: group 1 of a split tau is xi <= tau."""
 
-    def __init__(self, batch0: DataBatch, tau_cap: int = 65, t_points: int = 513):
+    def __init__(self, batch0: DataBatch, t_points: int = 513):
         if batch0.xi is None or batch0.theta is None:
             raise ValueError("side oracle needs theta and xi in the batch")
-        self.t_n = universal_threshold(batch0.n)
-        self.t_grid = np.linspace(0.0, self.t_n, t_points)
-        self.tau_cands = xi_split_candidates(batch0.xi, cap=tau_cap)
+        self.t_grid = np.linspace(0.0, universal_threshold(batch0.n), t_points)
+        self.tau_cands = xi_split_candidates(batch0.xi, cap=65)
         self.acc = np.zeros((self.tau_cands.size, 2, t_points))
-        self.n_batches = 0
 
     def add(self, batch: DataBatch) -> None:
-        ctx = _SortedBatch(batch, batch.xi, loss=True)
-        for ti, tau in enumerate(self.tau_cands):
-            lower = ctx.side <= tau
-            # an empty group's curve is zero and leaves its row unchanged
-            for g, sel in enumerate((lower, ~lower)):
-                j = np.searchsorted(ctx.zs[sel], self.t_grid, side="right")
-                prefixes = [_prefix(col[sel]) for col in ctx.loss_columns]
-                self.acc[ti, g] += _loss_values(prefixes, self.t_grid, j)
-        self.n_batches += 1
+        """Add the batch's loss curves of both groups of every split, in one
+        pass. A coordinate's cell #{tau < xi} and threshold bin #{t < z} index
+        one histogram per loss column: at t_k a coordinate of bin b <= k loses
+        theta^2, any other (y-theta)^2 - 2 t_k sigma sign(y) (y-theta)
+        + t_k^2 sigma^2. Sums along the bins give each cell's curve; group 1
+        of split s sums cells 0..s, group 2 the cells above s, top one first.
+        """
+        cells, bins = self.tau_cands.size + 1, self.t_grid.size + 1
+        index = np.searchsorted(self.tau_cands, batch.xi, side="left") * bins
+        index += np.searchsorted(self.t_grid, np.abs(batch.y) / batch.sigma, side="left")
+
+        def histogram(weights):
+            return np.bincount(index, weights, cells * bins).reshape(cells, bins)
+
+        def above(weights, coef):
+            """coef times each cell's sum of ``weights`` over the z above each t."""
+            h = histogram(weights)
+            np.cumsum(h[:, ::-1], axis=1, out=h[:, ::-1])
+            h = h[:, 1:]
+            h *= coef
+            return h
+
+        # each cell's sum of theta^2 at or below each t
+        curves = np.cumsum(histogram(batch.theta**2), axis=1)[:, :-1]
+        err = batch.y - batch.theta
+        curves += above(err**2, 1.0)
+        curves += above(batch.sigma * np.sign(batch.y) * err, -2.0 * self.t_grid)
+        curves += above(batch.sigma**2, self.t_grid**2)
+        self.acc[:, 1] += np.cumsum(curves[:0:-1], axis=0)[::-1]
+        np.cumsum(curves, axis=0, out=curves)
+        self.acc[:, 0] += curves[:-1]
 
     def minimize(self) -> tuple[float, float, float]:
-        """Return (tau, t1, t2) minimizing the averaged loss."""
-        best = None
-        for ti, tau in enumerate(self.tau_cands):
-            i1 = int(np.argmin(self.acc[ti, 0]))
-            i2 = int(np.argmin(self.acc[ti, 1]))
-            total = self.acc[ti, 0][i1] + self.acc[ti, 1][i2]
-            if best is None or total < best[0]:
-                best = (total, float(tau), float(self.t_grid[i1]), float(self.t_grid[i2]))
-        return best[1], best[2], best[3]
+        """Return (tau, t1, t2) minimizing the averaged loss; the first split
+        and the smallest thresholds win ties."""
+        i = np.argmin(self.acc, axis=2)
+        best = np.take_along_axis(self.acc, i[..., None], axis=2)[..., 0]
+        s = int(np.argmin(best[:, 0] + best[:, 1]))
+        return float(self.tau_cands[s]), float(self.t_grid[i[s, 0]]), float(self.t_grid[i[s, 1]])
 
 
 def _oracle_loss_at(view: DataBatch, hp: HyperParams):

@@ -161,25 +161,6 @@ def _sure_values(p0: np.ndarray, p2: np.ndarray, t_values: np.ndarray,
     return v
 
 
-def _loss_parts(prefixes: list, j: np.ndarray) -> tuple:
-    """The parts of a group's soft-thresholding loss at thresholds with ``j``
-    z values at or below them: sum theta^2 below plus sum (y-theta)^2 above,
-    and the sums of sigma*sign(y)*(y-theta) and of sigma^2 above.
-
-    ``prefixes`` yields the prefix sums (last axis) of theta^2, (y-theta)^2,
-    sigma*sign(y)*(y-theta) and sigma^2 over the group's z-ascending
-    coordinates, in that order; each is used and dropped before the next.
-    """
-    prefixes = iter(prefixes)
-
-    def above(p):
-        return p[..., -1:] - np.take(p, j, axis=-1)
-
-    below = np.take(next(prefixes), j, axis=-1)
-    below += above(next(prefixes))
-    return below, above(next(prefixes)), above(next(prefixes))
-
-
 def _loss_at(parts: tuple, t_values: np.ndarray) -> np.ndarray:
     """Group loss sum (theta_hat - theta)^2 of soft thresholding at each t:
     coordinates at or below t contribute theta^2, the others
@@ -189,11 +170,6 @@ def _loss_at(parts: tuple, t_values: np.ndarray) -> np.ndarray:
     np.subtract(below, v, out=v)
     v += t_values**2 * s2
     return v
-
-
-def _loss_values(prefixes: list, t_values: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Group loss at each t; ``j`` counts the group's z values <= each t."""
-    return _loss_at(_loss_parts(prefixes, j), t_values)
 
 
 def _hybrid_fires(capped_sum, size, n: int):
@@ -361,9 +337,15 @@ def _min_loss_threshold(ctx: _SortedBatch, mask: np.ndarray) -> tuple:
     set. An empty group gives (0, 0).
     """
     cands, counts = ctx.candidates[:2]
-    parts = _loss_parts((_prefix(mask * col) for col in ctx.loss_columns), counts)
+    pq, pe, psc, ps2 = (_prefix(mask * col) for col in ctx.loss_columns)
+    # the group's theta^2 at or below each candidate plus (y-theta)^2 above
+    # it, and its sums of sigma*sign(y)*(y-theta) and of sigma^2 above it
+    below = np.take(pq, counts, axis=-1)
+    below += pe[:, -1:] - np.take(pe, counts, axis=-1)
+    suf_sc = psc[:, -1:] - np.take(psc, counts, axis=-1)
+    suf_s2 = ps2[:, -1:] - np.take(ps2, counts, axis=-1)
+    parts = below, suf_sc, suf_s2
     member = ctx.members(mask)
-    _, suf_sc, suf_s2 = parts
     rows = np.arange(mask.shape[0])
     at_cand = _loss_at(parts, cands)
     at_cand[~member] = np.inf
@@ -526,7 +508,8 @@ def _largest_total(total: float, n: int) -> float:
 def _search(cut: _Cut, ks) -> dict:
     """{K: (value, breakpoint indices, t)} of the minimizer of
     value = (base + term of group 1 + ... + term of group K) / n, summed in
-    that order, for each K in ``ks`` that a breakpoint vector can fit.
+    that order, for each K in ``ks`` that a breakpoint vector can fit; a K
+    above m+1 cannot take K-1 of the m grid points and is dropped first.
 
     Ties go to the lexicographically smallest breakpoints. Rounding of
     x + c and of x / n is monotone in x, so the least partial sums give the
@@ -537,9 +520,10 @@ def _search(cut: _Cut, ks) -> dict:
     in each pass rather than held.
     """
     m, n, base = cut.m, cut.ctx.n, cut.base
+    ks = [k for k in ks if k <= m + 1]
     head_t, head_v = cut.head
     tail_t, tail_v = cut.tail
-    kmax = max(ks)
+    kmax = max(ks, default=1)
     # part[k][b]: least sum of base and k groups covering cells 0..b
     part = [None, base + head_v[:m]] + [np.full(m, np.inf) for _ in range(2, kmax)]
     for a in range(1, m if kmax > 2 else 0):

@@ -113,3 +113,37 @@ def search(ctx: _SortedBatch, grid: np.ndarray, k: int, term, base: float = 0.0,
 
 def grid_of(s: np.ndarray, k: int, mn_factor: float) -> np.ndarray:
     return tau_grid(s, mn_factor) if k > 1 else np.empty(0)
+
+
+class SideOracleReference:
+    """The side-oracle accumulator as a loop over splits and groups: for
+    each split and each of its two groups it compacts the z-sorted batch to
+    the group's coordinates and sums the loss at every t from the group's
+    own prefix sums. ``tests/test_side_oracle.py`` compares the package's
+    histogram pass with it."""
+
+    def __init__(self, tau_cands: np.ndarray, t_grid: np.ndarray):
+        self.tau_cands = tau_cands
+        self.t_grid = t_grid
+        self.acc = np.zeros((tau_cands.size, 2, t_grid.size))
+
+    def add(self, batch) -> None:
+        ctx = _SortedBatch(batch, batch.xi, loss=True)
+        for ti, tau in enumerate(self.tau_cands):
+            lower = ctx.side <= tau
+            # an empty group's curve is zero and leaves its row unchanged
+            for g, sel in enumerate((lower, ~lower)):
+                j = np.searchsorted(ctx.zs[sel], self.t_grid, side="right")
+                prefixes = [_prefix(col[sel]) for col in ctx.loss_columns]
+                self.acc[ti, g] += _loss_values(prefixes, self.t_grid, j)
+
+    def minimize(self):
+        """(tau, t1, t2) of the first minimum over splits, then thresholds."""
+        best = None
+        for ti, tau in enumerate(self.tau_cands):
+            i1 = int(np.argmin(self.acc[ti, 0]))
+            i2 = int(np.argmin(self.acc[ti, 1]))
+            total = self.acc[ti, 0][i1] + self.acc[ti, 1][i2]
+            if best is None or total < best[0]:
+                best = (total, float(tau), float(self.t_grid[i1]), float(self.t_grid[i2]))
+        return best[1], best[2], best[3]

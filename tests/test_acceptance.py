@@ -35,13 +35,8 @@ from auxshrink import (
 )
 from auxshrink.cli import main
 from auxshrink.sim import _SideOracleAccumulator
-from auxshrink.tuner import (
-    _loss_values,
-    _prefix,
-    _SortedBatch,
-    threshold_candidates,
-)
-from brute_force import _objective_values
+from auxshrink.tuner import _SortedBatch, threshold_candidates
+from brute_force import _loss_values, _objective_values, _prefix
 from population_risk import references
 
 N_TABLE = 200

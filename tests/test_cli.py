@@ -423,6 +423,37 @@ class TestSimulate:
         assert "unknown key 'k'" in capsys.readouterr().err
         assert not (tmp_path / "y.json").exists()
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("estimators", "asus", "a list of strings"),
+        ("estimators", ["asus", 1], "a list of strings"),
+        ("reps", 2.9, "an integer"),
+        ("seed", True, "an integer"),
+        ("n", "200", "an integer"),
+        ("scenario", 1, "a string"),
+        ("m", 10.0, "an integer or null"),
+        ("aux_variant", False, "an integer or null"),
+    ])
+    def test_config_value_of_wrong_type_is_named(self, tmp_path, capsys, key, value, kind):
+        cfg = {"scenario": "toy", "n": 200, "reps": 2, "seed": 1, "estimators": ["sureshrink"]}
+        cfg[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "y.json"
+        rc = main(["simulate", "--config", str(path), "--output", str(out)])
+        assert rc == 1
+        assert f"key {key!r} must be {kind}" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "y_losses.csv").exists()
+
+    def test_config_null_m_and_aux_variant_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "toy", "n": 200, "reps": 2, "seed": 1,
+                                    "m": None, "aux_variant": None,
+                                    "estimators": ["sureshrink"]}))
+        out = tmp_path / "y.json"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["reps"] == 2 and report["seed"] == 1 and report["m"] is None
+
 
 class TestTheoryCommand:
     def test_f_value(self, capsys):

@@ -289,6 +289,24 @@ def test_averaged_aux_noise_is_not_held_as_a_matrix(spec):
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("spec", [
+    ScenarioSpec(family="one-sample-s1", n=5000, m=200, aux_variant=2),
+    ScenarioSpec(family="two-sample-s2", n=5000),
+])
+def test_side_oracle_add_stays_small(spec):
+    # one histogram per loss column at a time, summed in place
+    batch = generate(spec)
+    acc = sim._SideOracleAccumulator(batch)
+    acc.add(batch)
+    tracemalloc.start()
+    try:
+        acc.add(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_generate_dispatch_covers_all_families():
     specs = [
         ScenarioSpec(family="one-sample-s1", n=600, m=10, aux_variant=1, seed=1),

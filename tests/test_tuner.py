@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from auxshrink import (
     threshold_candidates,
     universal_threshold,
 )
+from auxshrink.tuner import _fit_grid
 from brute_force import _objective_values
 
 
@@ -158,6 +161,23 @@ class TestFitAsus:
         with pytest.raises(ValueError, match="feasible"):
             fit_asus(b, SearchConfig(k=4, mn_factor=2))
 
+    def test_k_beyond_the_grid_is_rejected_before_any_search(self):
+        # 30 split points fit at most 31 groups, so K = 5000 fails before
+        # the search holds anything per K
+        b = generate(ScenarioSpec(family="two-sample-s2", n=300, seed=4))
+        cfg = SearchConfig(k=5000, mn_factor=8)
+        assert _fit_grid(b.s, cfg.k, cfg.mn_factor).size == 30
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"no feasible breakpoint candidate for "
+                                                 r"K=5000; the auxiliary sequence cannot "
+                                                 r"support that many nonempty groups$"):
+                fit_asus(b, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_thresholds_respect_search_range(self):
         rng = np.random.default_rng(29)
         b = random_batch(rng, 250)
@@ -240,6 +260,12 @@ class TestSelectK:
         gain12 = sel.sure_values[0] - sel.sure_values[1]
         gain23 = abs(sel.sure_values[1] - sel.sure_values[2])
         assert gain12 > 5 * gain23
+
+    def test_first_infeasible_k_is_named(self):
+        # K = 32 is the first K that 30 split points cannot fit
+        b = generate(ScenarioSpec(family="two-sample-s2", n=300, seed=4))
+        with pytest.raises(ValueError, match="K=32;"):
+            select_k(b, 20000, mn_factor=8)
 
     def test_noninformative_aux_is_flat(self):
         rng = np.random.default_rng(53)
