@@ -98,16 +98,15 @@ def read_batch_csv(path: str) -> tuple[DataBatch, list]:
         for required in ("id", "y", "s"):
             if required not in cols:
                 raise ValueError(f"{path}: missing required column {required!r}")
-        ids, ys, sigmas, ss = [], [], [], []
-        latent = {"xi": [], "theta": []}
+        ids, ys, ss = [], [], []
+        optional = {"sigma": [], "xi": [], "theta": []}
         first_empty = {}
         for lineno, row in enumerate(reader, start=2):
             try:
                 ids.append(row["id"])
                 ys.append(float(row["y"]))
-                sigmas.append(float(row["sigma"]) if row.get("sigma") not in (None, "") else 1.0)
                 ss.append(float(row["s"]))
-                for name, values in latent.items():
+                for name, values in optional.items():
                     if row.get(name) in (None, ""):
                         first_empty.setdefault(name, lineno)
                     else:
@@ -116,7 +115,7 @@ def read_batch_csv(path: str) -> tuple[DataBatch, list]:
                 raise ValueError(f"{path}:{lineno}: bad row ({exc})") from exc
     if not ids:
         raise ValueError(f"{path}: no data rows")
-    for name, values in latent.items():
+    for name, values in optional.items():
         if values and name in first_empty:
             raise ValueError(
                 f"{path}:{first_empty[name]}: column {name!r} is empty here "
@@ -124,10 +123,10 @@ def read_batch_csv(path: str) -> tuple[DataBatch, list]:
             )
     batch = DataBatch(
         y=np.array(ys),
-        sigma=np.array(sigmas),
+        sigma=np.array(optional["sigma"]) if optional["sigma"] else np.ones(len(ys)),
         s=np.array(ss),
-        theta=np.array(latent["theta"]) if latent["theta"] else None,
-        xi=np.array(latent["xi"]) if latent["xi"] else None,
+        theta=np.array(optional["theta"]) if optional["theta"] else None,
+        xi=np.array(optional["xi"]) if optional["xi"] else None,
     )
     return batch, ids
 

@@ -104,7 +104,6 @@ def xi_split_candidates(xi: np.ndarray, cap: int | None = None) -> np.ndarray:
     mids = 0.5 * (uniq[:-1] + uniq[1:])
     if cap is not None and mids.size > cap:
         idx = np.unique(np.linspace(0, mids.size - 1, cap).round().astype(int))
-        idx = np.unique(np.concatenate([[0, mids.size - 1], idx]))
         mids = mids[idx]
     return mids
 
@@ -118,9 +117,11 @@ def fit_oracle_side(batch: DataBatch) -> FitResult:
     """
     if batch.theta is None or batch.xi is None:
         raise ValueError("fit_oracle_side requires batch.theta and batch.xi")
-    _, tau, t, sizes = _best(_Cut(_SortedBatch(batch, batch.xi, loss=True),
-                                  xi_split_candidates(batch.xi), _min_loss_threshold,
-                                  _min_loss_threshold, 0.0, skip_empty=False), 2)
+    best = _best(_Cut(_SortedBatch(batch, batch.xi, loss=True), xi_split_candidates(batch.xi),
+                      _min_loss_threshold, _min_loss_threshold, 0.0), 2)
+    if best is None:  # a midpoint rounded onto a value between adjacent floats
+        raise _infeasible(2)
+    _, tau, t, sizes = best
     hp = HyperParams(tau=tau, t=t)
     theta_hat = apply_estimator(dataclasses.replace(batch, s=batch.xi), hp)
     return FitResult(

@@ -396,11 +396,13 @@ class _SideOracleAccumulator:
         self.acc[:, 0] += curves[:-1]
 
     def minimize(self) -> tuple[float, float, float]:
-        """Return (tau, t1, t2) minimizing the averaged loss; the first split
-        and the smallest thresholds win ties."""
+        """Return (tau, t1, t2) minimizing the averaged loss; the smallest
+        thresholds win ties, and the first split within 1e-12 (relative) of the
+        least total, so that rounding does not decide between tied splits."""
         i = np.argmin(self.acc, axis=2)
         best = np.take_along_axis(self.acc, i[..., None], axis=2)[..., 0]
-        s = int(np.argmin(best[:, 0] + best[:, 1]))
+        total = best[:, 0] + best[:, 1]  # losses: total >= 0
+        s = int(np.argmax(total <= total.min() * (1.0 + 1e-12)))
         return float(self.tau_cands[s]), float(self.t_grid[i[s, 0]]), float(self.t_grid[i[s, 1]])
 
 

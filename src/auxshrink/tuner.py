@@ -5,9 +5,9 @@ batch is sorted once by z = |y|/sigma (``_SortedBatch``). A breakpoint grid
 on a side sequence (S, |S| or the latent xi) cuts it into cells, cell c
 holding the side values in (grid[c-1], grid[c]], so every group of a K-group
 fit is a run of contiguous cells and the fit's objective is a sum of
-independent group terms. ``_group_terms`` evaluates the term of the group
+independent group terms. ``_Cut.terms`` evaluates the term of the group
 spanning cells a..b for many (a, b) at once (SURE, realized loss or
-screening), each from prefix sums over the group's z-sorted coordinates.
+screening), each from sums over z-sorted coordinates masked to the group.
 ``_search`` combines these interval terms over cells into the exact
 minimizer for every K, as in optimal partitioning (Jackson et al. 2005, "An
 algorithm for optimal partitioning of data on an interval"): a forward pass
@@ -21,7 +21,7 @@ between consecutive standardized magnitudes the SURE objective is
 nondecreasing in t, so its minimum over [0, t_n] is attained on
 {0} | {z_i <= t_n} | {t_n}. A hybrid fallback returns the universal
 threshold for groups whose empirical second moment is too close to pure
-noise for SURE to be trustworthy.
+noise for SURE to be trustworthy; its statistic is summed in z order.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ __all__ = [
     "select_k",
 ]
 
-# elements of one (groups x coordinates) temporary in _group_terms; the
-# working set of the search stays on this budget whatever n is
+# elements of one (groups x coordinates) masked-row temporary in _Cut.terms;
+# the working set of the search stays on this budget whatever n is
 _CHUNK_ELEMENTS = 1 << 12
 # elements of one (breakpoints x coordinates) stack of thresholds in
 # sweep_tau; with the SURE formula's temporaries about 1 MB is live at once
@@ -277,24 +277,6 @@ class _SortedBatch:
         return np.logical_or.reduceat(ext, starts, axis=1)
 
 
-def _hybrid_rows(ctx: _SortedBatch, mask: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The hybrid decision of each group (row of ``mask``), as
-    ``_hybrid_fires`` takes it on the group's own (pairwise) capped sum.
-
-    The row sum (non-members zeroed) and the group's own sum both lie within
-    (n + 64) eps/2 of the exact sum, and the decision is monotone in the sum;
-    only a group whose decision could flip inside that margin is summed again.
-    """
-    approx = (mask * ctx.capped).sum(axis=1)
-    margin = 2.0 * (ctx.capped.size + 64) * np.finfo(float).eps * approx
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fires = _hybrid_fires(approx - margin, size, ctx.n)
-        unsure = fires != _hybrid_fires(approx + margin, size, ctx.n)
-    for r in np.flatnonzero(unsure):
-        fires[r] = _hybrid_fires(float(ctx.capped[mask[r]].sum()), size[r], ctx.n)
-    return fires
-
-
 def _sure_group(ctx: _SortedBatch, mask: np.ndarray, hybrid: bool) -> tuple:
     """SURE-fitted threshold and SURE term of each group (row of ``mask``),
     hybrid rule first; the smallest threshold wins ties. Without the hybrid
@@ -308,23 +290,20 @@ def _sure_group(ctx: _SortedBatch, mask: np.ndarray, hybrid: bool) -> tuple:
     rows = np.arange(mask.shape[0])
     t, v = cands[i], vals[rows, i]
     if hybrid:
-        fires = _hybrid_rows(ctx, mask, np.count_nonzero(mask, axis=1))
+        # the capped sum in z order, bit for bit that over the group alone
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fires = _hybrid_fires(_prefix(mask * ctx.capped)[:, -1],
+                                  np.count_nonzero(mask, axis=1), ctx.n)
         t[fires] = ctx.t_n
         v[fires] = vals[fires, -1]
     return t, v
 
 
 def _screen_group(ctx: _SortedBatch, mask: np.ndarray) -> tuple:
-    """Screened groups: a group's threshold is its largest magnitude, so every
-    estimate is zero and the SURE term reduces to sum s2 z^2 - 2 s2."""
-    w = ctx.s2s * ctx.zs**2
-    t = np.zeros(mask.shape[0])
-    v = np.empty(mask.shape[0])
-    for r, sel in enumerate(mask):
-        idx = np.flatnonzero(sel)
-        if idx.size:
-            t[r] = ctx.zs[idx[-1]]
-        v[r] = w[idx].sum() - 2.0 * ctx.s2s[idx].sum()
+    """Screened groups: a group's threshold is its largest magnitude (0 when
+    empty), so every estimate is zero and the SURE term is sum s2 z^2 - 2 s2."""
+    t = (mask * ctx.zs).max(axis=1, initial=0.0)
+    v = (mask * ctx.s2z2).sum(axis=1) - 2.0 * (mask * ctx.s2s).sum(axis=1)
     return t, v
 
 
@@ -380,35 +359,6 @@ def _within(ctx: _SortedBatch, cells: np.ndarray, lo: int, hi: int) -> tuple:
     return ctx.restrict(keep), cells[keep]
 
 
-def _group_terms(ctx: _SortedBatch, cells: np.ndarray, term, lo: np.ndarray, hi: np.ndarray):
-    """Threshold and objective term of the group holding cells lo[i]..hi[i],
-    for each i; ``cells`` gives each coordinate's cell, in z order.
-
-    Consecutive groups run together in chunks of a fixed number of elements:
-    one row per group, holding the coordinates of the chunk's cells, those
-    outside the row's group multiplied by zero. Adding +-0.0 leaves a sum
-    unchanged, so the prefix sums are bit for bit those over the group alone.
-    """
-    t = np.empty(lo.size)
-    v = np.empty(lo.size)
-    if lo.size == 0:
-        return t, v
-    ctx, cells = _within(ctx, cells, lo.min(), hi.max())
-    count = np.concatenate([[0], np.cumsum(np.bincount(cells, minlength=hi.max() + 1))])
-    s = 0
-    while s < lo.size:
-        a = np.minimum.accumulate(lo[s:])
-        b = np.maximum.accumulate(hi[s:])
-        # coordinates in the cells of the first 1, 2, ... groups from s
-        width = count[b + 1] - count[a]
-        e = s + max(1, int(np.count_nonzero(
-            np.arange(1, a.size + 1) * (width + 1) <= _CHUNK_ELEMENTS)))
-        sub, sub_cells = _within(ctx, cells, a[e - s - 1], b[e - s - 1])
-        t[s:e], v[s:e] = term(sub, (sub_cells >= lo[s:e, None]) & (sub_cells <= hi[s:e, None]))
-        s = e
-    return t, v
-
-
 def _split_points(grid: np.ndarray, side: np.ndarray) -> np.ndarray:
     """The points of ``grid`` whose lower cell holds a side value.
 
@@ -440,7 +390,30 @@ class _Cut:
         self.tail = self.terms(rest, b[1:], np.full(m, m))
 
     def terms(self, term, lo: np.ndarray, hi: np.ndarray):
-        t, v = _group_terms(self.ctx, self.cells, term, lo, hi)
+        """Threshold and objective term of the group holding cells lo[i]..hi[i],
+        for each i.
+
+        Consecutive groups run together in chunks of a fixed number of
+        elements: one row per group, holding the coordinates of the chunk's
+        cells, those outside the row's group multiplied by zero. Adding +-0.0
+        leaves a sequential sum unchanged, so the prefix sums are bit for bit
+        those over the group alone.
+        """
+        t, v = np.empty(lo.size), np.empty(lo.size)
+        if lo.size == 0:
+            return t, v
+        ctx, cells = _within(self.ctx, self.cells, lo.min(), hi.max())
+        s = 0
+        while s < lo.size:
+            a = np.minimum.accumulate(lo[s:])
+            b = np.maximum.accumulate(hi[s:])
+            # coordinates in the cells of the first 1, 2, ... groups from s
+            width = self.count[b + 1] - self.count[a]
+            e = s + max(1, int(np.count_nonzero(
+                np.arange(1, a.size + 1) * (width + 1) <= _CHUNK_ELEMENTS)))
+            sub, sub_cells = _within(ctx, cells, a[e - s - 1], b[e - s - 1])
+            t[s:e], v[s:e] = term(sub, (sub_cells >= lo[s:e, None]) & (sub_cells <= hi[s:e, None]))
+            s = e
         if self.skip_empty:
             v[self.count[hi + 1] == self.count[lo]] = np.inf
         return t, v

@@ -76,23 +76,26 @@ class TestReadBatchCsv:
         batch, _ = read_batch_csv(path)
         assert batch.xi is not None and batch.theta is not None
 
-    @pytest.mark.parametrize("column", ["xi", "theta"])
+    @pytest.mark.parametrize("column", ["xi", "theta", "sigma"])
     def test_partly_filled_latent_column_names_first_empty_line(self, tmp_path, column):
+        # an empty sigma cell used to read as 1.0 beside rows that give sigma
         path = tmp_path / "b.csv"
+        header = ("id", "y", "sigma", "s", "xi", "theta")
         rows = [["a", "1.0", "1.0", "0.5", "0.0", "0.9"] for _ in range(4)]
-        col = 4 if column == "xi" else 5
+        col = header.index(column)
         rows[1][col] = ""
         rows[3][col] = ""
-        write_batch_csv(path, rows, header=("id", "y", "sigma", "s", "xi", "theta"))
+        write_batch_csv(path, rows, header=header)
         with pytest.raises(ValueError, match=rf":3: column '{column}' is empty"):
             read_batch_csv(path)
 
     def test_entirely_empty_latent_column_is_dropped(self, tmp_path):
         path = tmp_path / "b.csv"
-        rows = [("a", "1.0", "1.0", "0.5", "", "0.9"), ("b", "2.0", "1.0", "0.1", "", "1.1")]
+        rows = [("a", "1.0", "", "0.5", "", "0.9"), ("b", "2.0", "", "0.1", "", "1.1")]
         write_batch_csv(path, rows, header=("id", "y", "sigma", "s", "xi", "theta"))
         batch, _ = read_batch_csv(path)
         assert batch.xi is None
+        np.testing.assert_array_equal(batch.sigma, [1.0, 1.0])  # an empty sigma means 1
         np.testing.assert_array_equal(batch.theta, [0.9, 1.1])
 
 

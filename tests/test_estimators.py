@@ -162,6 +162,19 @@ class TestOracleSide:
         with pytest.raises(ValueError, match="xi is degenerate"):
             _SideOracleAccumulator(b)
 
+    def test_split_that_rounds_onto_a_value_is_rejected(self):
+        # two adjacent floats whose midpoint rounds up to the larger: every
+        # split leaves the upper group empty, which used to be fitted anyway
+        lo = np.nextafter(1.0, 2.0)
+        hi = np.nextafter(lo, 2.0)
+        assert 0.5 * (lo + hi) == hi
+        n = 20
+        xi = np.where(np.arange(n) % 2 == 0, lo, hi)
+        b = DataBatch(y=np.random.default_rng(107).standard_normal(n), sigma=np.ones(n),
+                      s=xi, theta=np.zeros(n), xi=xi)
+        with pytest.raises(ValueError, match="nonempty groups"):
+            fit_oracle_side(b)
+
 
 class TestEjs:
     def test_identical_observations_untouched(self):

@@ -112,14 +112,18 @@ def test_designed_batches_match_reference(name, batches):
     assert_matches_reference(batches)
 
 
-def test_splits_tied_in_exact_arithmetic_give_a_reference_minimizer():
+def tied_split_batches():
     # A cell whose coordinates lie at or below both thresholds adds the same
     # theta^2 to either group, so the splits on its two sides tie in exact
-    # arithmetic and rounding alone picks one. Here every coordinate with
-    # xi = 1 has y = 0: splits 0.5 and 1.5 tie.
+    # arithmetic. Here every coordinate with xi = 1 has y = 0: splits 0.5 and
+    # 1.5 tie, and the first of them is the minimizer.
     batches = designed(11, y_of=lambda rng, n, t_grid, sigma: rng.normal(0.0, 3.0, n),
                        xi_of=lambda rng, n: rng.integers(0, 3, n) * 1.0)
-    batches = [dataclasses.replace(b, y=np.where(b.xi == 1.0, 0.0, b.y)) for b in batches]
+    return [dataclasses.replace(b, y=np.where(b.xi == 1.0, 0.0, b.y)) for b in batches]
+
+
+def test_splits_tied_in_exact_arithmetic_give_a_reference_minimizer():
+    batches = tied_split_batches()
     acc = _SideOracleAccumulator(batches[0])
     ref = SideOracleReference(acc.tau_cands, acc.t_grid)
     for b in batches:
@@ -130,7 +134,24 @@ def test_splits_tied_in_exact_arithmetic_give_a_reference_minimizer():
     assert list(acc.tau_cands) == [0.5, 1.5]
     totals = ref.acc.min(axis=2).sum(axis=1)
     assert abs(totals[0] - totals[1]) <= RTOL * totals.max()
-    assert tau in (0.5, 1.5) and (t1, t2) == (ref_t1, ref_t2)
+    assert tau == 0.5 and (t1, t2) == (ref_t1, ref_t2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tied_splits_do_not_depend_on_summation_order(seed):
+    # the same batches with their coordinates permuted, added in either
+    # order: rounding differs from run to run, the minimizer may not
+    rng = np.random.default_rng(seed)
+    batches = []
+    for b in tied_split_batches():
+        p = rng.permutation(b.n)
+        batches.append(DataBatch(y=b.y[p], sigma=b.sigma[p], s=b.s[p], theta=b.theta[p],
+                                 xi=b.xi[p]))
+    for order in (batches, batches[::-1]):
+        acc = _SideOracleAccumulator(order[0])
+        for b in order:
+            acc.add(b)
+        assert acc.minimize()[0] == 0.5
 
 
 def test_bridge_grid_matches_reference():

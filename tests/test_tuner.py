@@ -211,6 +211,44 @@ class TestFitAsus:
         both_fired = (curve.t1_values == t_n) & (curve.t2_values == t_n)
         assert both_fired.mean() > 0.8
 
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_group_at_the_hybrid_bound_decides_as_on_its_own(self, seed):
+        # Group 1's capped mean sits on the bound: its largest z is chosen so
+        # that the z-ordered and the pairwise capped sums fall on either side
+        # of it (seed 0: the z-ordered sum fires; seed 4: the pairwise one).
+        # The grouped fit must decide as fit_group_threshold on the group.
+        n, g = 400, 200
+        t_n = universal_threshold(n)
+        bound = n**-0.5 * np.log(n) ** 1.5
+        rng = np.random.default_rng(seed)
+        base = np.sort(rng.uniform(0.0, 1.0, g - 1))
+        base *= np.sqrt((g * (1.0 + bound) - 9.0) / np.sum(base**2))
+
+        def fires(y, total):
+            capped = np.minimum(np.append(base, y) ** 2, t_n**2)
+            return total(capped) / g - 1.0 <= bound
+
+        def flip(total):
+            """Smallest largest-z at which the rule stops firing."""
+            lo, hi = 2.6, 3.4
+            while np.nextafter(lo, hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if fires(mid, total) else (lo, mid)
+            return hi
+
+        z_order = lambda capped: np.cumsum(capped)[-1]
+        y = min(flip(z_order), flip(np.sum))
+        assert fires(y, z_order) != fires(y, np.sum)
+        z = np.append(base, y)
+        b = DataBatch(y=np.concatenate([z * rng.choice([-1.0, 1.0], g), rng.normal(0, 1, g)]),
+                      sigma=np.ones(n), s=np.repeat([0.0, 10.0], g))
+        fit = fit_asus(b)
+        assert fit.group_sizes.tolist() == [g, g]
+        own = fit_group_threshold(z, np.ones(g), n)
+        assert fit.hp.t[0] == own
+        assert (own == t_n) == fires(y, z_order)
+        assert fit_group_threshold(z, np.ones(g), n, hybrid=False) < t_n
+
 
 class TestSweepTau:
     def test_minimum_matches_fit_asus(self):
