@@ -78,7 +78,7 @@ class TestReadBatchCsv:
 
     @pytest.mark.parametrize("column", ["xi", "theta", "sigma"])
     def test_partly_filled_latent_column_names_first_empty_line(self, tmp_path, column):
-        # an empty sigma cell used to read as 1.0 beside rows that give sigma
+        # an empty sigma cell beside rows that give sigma is an error, not 1.0
         path = tmp_path / "b.csv"
         header = ("id", "y", "sigma", "s", "xi", "theta")
         rows = [["a", "1.0", "1.0", "0.5", "0.0", "0.9"] for _ in range(4)]

@@ -164,7 +164,7 @@ class TestOracleSide:
 
     def test_split_that_rounds_onto_a_value_is_rejected(self):
         # two adjacent floats whose midpoint rounds up to the larger: every
-        # split leaves the upper group empty, which used to be fitted anyway
+        # split leaves the upper group empty, so no 2-group fit exists
         lo = np.nextafter(1.0, 2.0)
         hi = np.nextafter(lo, 2.0)
         assert 0.5 * (lo + hi) == hi
