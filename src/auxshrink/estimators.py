@@ -30,6 +30,7 @@ from .tuner import (
     _Cut,
     _fit_grid,
     _infeasible,
+    _loss_bound,
     _min_loss_threshold,
     _scored_fit,
     _screen_group,
@@ -74,6 +75,13 @@ def fit_auxscr(batch: DataBatch, mn_factor: float = 50.0) -> FitResult:
     return _scored_fit(batch, HyperParams(tau=tau, t=t), sizes, "aux-scr")
 
 
+def _loss_cut(batch: DataBatch, side: np.ndarray, grid: np.ndarray) -> _Cut:
+    """The realized-loss terms of the groups on ``grid`` over ``side``,
+    with the lower bound that prunes their K = 2 search."""
+    return _Cut(_SortedBatch(batch, side, loss=True), grid, _min_loss_threshold,
+                _min_loss_threshold, 0.0, bound=_loss_bound)
+
+
 def fit_oracle_loss(batch: DataBatch, cfg: SearchConfig | None = None) -> FitResult:
     """Best hyperparameters in hindsight: same search space as fit_asus,
     realized loss as the objective. Requires batch.theta."""
@@ -82,8 +90,7 @@ def fit_oracle_loss(batch: DataBatch, cfg: SearchConfig | None = None) -> FitRes
     if cfg is None:
         cfg = SearchConfig()
     grid = _fit_grid(batch.s, cfg.k, cfg.mn_factor)
-    best = _best(_Cut(_SortedBatch(batch, batch.s, loss=True), grid, _min_loss_threshold,
-                      _min_loss_threshold, 0.0), cfg.k)
+    best = _best(_loss_cut(batch, batch.s, grid), cfg.k)
     if best is None:
         raise _infeasible(cfg.k)
     _, tau, t, sizes = best
@@ -94,7 +101,12 @@ def xi_split_candidates(xi: np.ndarray, cap: int | None = None) -> np.ndarray:
     """Split points for grouping on the latent sequence: midpoints between
     consecutive distinct values. Optionally thinned to at most ``cap``
     candidates, always keeping the outermost gaps. A constant latent
-    sequence has no split and is rejected."""
+    sequence has no split and is rejected.
+
+    Between adjacent floats a midpoint can round onto the upper value. Such
+    a split repeats the next one, or after the largest value leaves the
+    upper group empty, so it is dropped, and a sequence left with no split
+    is rejected as for any K = 2 fit without two nonempty groups."""
     uniq = np.unique(xi)
     if uniq.size < 2:
         raise ValueError(
@@ -102,6 +114,9 @@ def xi_split_candidates(xi: np.ndarray, cap: int | None = None) -> np.ndarray:
             "it induces no grouping"
         )
     mids = 0.5 * (uniq[:-1] + uniq[1:])
+    mids = mids[mids < uniq[1:]]
+    if not mids.size:
+        raise _infeasible(2)
     if cap is not None and mids.size > cap:
         idx = np.unique(np.linspace(0, mids.size - 1, cap).round().astype(int))
         mids = mids[idx]
@@ -117,11 +132,8 @@ def fit_oracle_side(batch: DataBatch) -> FitResult:
     """
     if batch.theta is None or batch.xi is None:
         raise ValueError("fit_oracle_side requires batch.theta and batch.xi")
-    best = _best(_Cut(_SortedBatch(batch, batch.xi, loss=True), xi_split_candidates(batch.xi),
-                      _min_loss_threshold, _min_loss_threshold, 0.0), 2)
-    if best is None:  # a midpoint rounded onto a value between adjacent floats
-        raise _infeasible(2)
-    _, tau, t, sizes = best
+    # every split leaves both groups nonempty, so a minimizer exists
+    _, tau, t, sizes = _best(_loss_cut(batch, batch.xi, xi_split_candidates(batch.xi)), 2)
     hp = HyperParams(tau=tau, t=t)
     theta_hat = apply_estimator(dataclasses.replace(batch, s=batch.xi), hp)
     return FitResult(

@@ -16,6 +16,16 @@ be and still reach it, and a greedy pass then picks the lexicographically
 smallest breakpoints. Its cost grows with the square of the number of
 nonempty cells, not with the C(m, K-1) breakpoint vectors.
 
+The K = 2 searches of the realized-loss fits (``fit_oracle_loss``,
+``fit_oracle_side``) first rule splits out, as pruning does in optimal
+partitioning (Killick et al. 2012, "Optimal detection of changepoints with
+a linear computational cost"). ``_loss_bound`` bounds each split's loss from
+below in one pass over a fixed coarse grid of thresholds; ``_best`` takes
+the exact total of the split with the least bound and scores exactly only
+the splits whose bound is at most that total plus a rounding margin. The
+others cannot reach the minimum or tie with it, so the fit is bit for bit
+that of scoring every split. Every other search scores every group.
+
 For each group the threshold is chosen on the group's order statistics:
 between consecutive standardized magnitudes the SURE objective is
 nondecreasing in t, so its minimum over [0, t_n] is attained on
@@ -63,6 +73,8 @@ _CHUNK_ELEMENTS = 1 << 12
 # elements of one (breakpoints x coordinates) stack of thresholds in
 # sweep_tau; with the SURE formula's temporaries about 1 MB is live at once
 _SWEEP_ELEMENTS = 1 << 15
+# segments of [0, t_n] on which _loss_bound bounds each cell's realized loss
+_BOUND_SEGMENTS = 65
 
 
 @dataclass(frozen=True)
@@ -349,6 +361,59 @@ def _min_loss_threshold(ctx: _SortedBatch, mask: np.ndarray) -> tuple:
     return np.where(take, tv, t), np.where(take, vv, v)
 
 
+def _loss_bound(cut: _Cut) -> tuple:
+    """(lower, margin) of a realized-loss cut for the K = 2 search: for each
+    split b = 0..m-1, a lower bound on the least loss of cells 0..b plus the
+    least loss of cells b+1..m (+inf where a group is empty), and the margin
+    by which rounding may move the search's totals and these bounds.
+
+    A coordinate loses theta^2 at thresholds t >= z and sigma^2 (v - t)^2
+    below z, with v = sign(y) (y - theta) / sigma. On a segment
+    [t_j, t_{j+1}] of a fixed grid on [0, t_n] it thus loses at least
+    theta^2 if z <= t_j, sigma^2 d^2 if z > t_{j+1}, d the distance from v
+    to the segment, and the smaller of the two otherwise. Summed over a
+    group these minima bound its loss on the segment, and their least over
+    segments bounds its least loss. One segment at a time, the sums per
+    cell accumulate over cells from below for group 1 and from the top for
+    group 2.
+    """
+    ctx, m, cells = cut.ctx, cut.m, cut.cells
+    theta2, err2, sc, s2 = ctx.loss_columns
+    v = sc / s2
+    knots = np.linspace(0.0, ctx.t_n, _BOUND_SEGMENTS + 1)
+    # the coordinates before first[j] have z <= t_j
+    first = np.searchsorted(ctx.zs, knots, side="right")
+    below = np.zeros(m + 1)  # each cell's theta^2 over those coordinates
+    low1, low2 = np.full(m, np.inf), np.full(m, np.inf)
+    done = 0
+    for j in range(_BOUND_SEGMENTS):
+        a, b = first[j], first[j + 1]
+        below += np.bincount(cells[done:a], theta2[done:a], m + 1)
+        done = a
+        d = np.maximum(knots[j] - v[a:], v[a:] - knots[j + 1])
+        np.maximum(d, 0.0, out=d)
+        d *= d
+        d *= s2[a:]
+        np.minimum(d[:b - a], theta2[a:b], out=d[:b - a])
+        h = below + np.bincount(cells[a:], d, m + 1)
+        np.minimum(low1, np.cumsum(h)[:m], out=low1)
+        np.minimum(low2, np.cumsum(h[::-1])[-2::-1], out=low2)
+    lower = low1 + low2
+    if cut.skip_empty:
+        inner = cut.count[1:m + 1]
+        lower[(inner == 0) | (inner == cut.count[-1])] = np.inf
+    # A coordinate's loss on [0, t_n] is at most theta^2 + (|y - theta| +
+    # sigma t_n)^2 <= theta^2 + 2 (y - theta)^2 + 2 sigma^2 t_n^2, so every
+    # group term and bound sums terms of magnitude at most ``scale`` in all.
+    # Adding k such terms in floating point errs by at most (k - 1) eps scale,
+    # and a term takes at most n additions (prefix sums), a bound at most
+    # n + m + c; the margin covers both errors and the window in which the
+    # search counts totals as tied, with room to spare.
+    scale = theta2.sum() + 2.0 * err2.sum() + 2.0 * ctx.t_n**2 * s2.sum()
+    margin = 8.0 * (ctx.n + m + _BOUND_SEGMENTS) * np.finfo(float).eps * scale
+    return lower, margin
+
+
 def _within(ctx: _SortedBatch, cells: np.ndarray, lo: int, hi: int) -> tuple:
     """The batch and cells restricted to the coordinates in cells lo..hi,
     when that drops at least half of them; a smaller saving does not pay for
@@ -372,24 +437,33 @@ def _split_points(grid: np.ndarray, side: np.ndarray) -> np.ndarray:
 class _Cut:
     """A sorted batch cut into the cells of a breakpoint grid, with the terms
     of every first group (cells 0..b, b = 0..m) and every last group (cells
-    a..m, a = 1..m). ``first`` fits the first group and ``rest`` the others;
-    with ``skip_empty`` an empty group's term is +inf."""
+    a..m, a = 1..m), each computed on first use. ``first`` fits the first
+    group and ``rest`` the others; with ``skip_empty`` an empty group's term
+    is +inf. ``bound``, when given, maps the cut to the (lower, margin) of
+    ``_loss_bound``, with which ``_best`` prunes a K = 2 search."""
 
     def __init__(self, ctx: _SortedBatch, grid: np.ndarray, first, rest, base: float,
-                 skip_empty: bool = True):
+                 skip_empty: bool = True, bound=None):
         self.ctx = ctx
         self.grid = grid
         self.m = m = grid.size
+        self.first = first
         self.rest = rest
         self.base = base
         self.skip_empty = skip_empty
+        self.bound = bound
         self.cells = np.searchsorted(grid, ctx.side, side="left")
         self.count = np.concatenate([[0], np.cumsum(np.bincount(self.cells, minlength=m + 1))])
-        b = np.arange(m + 1)
-        self.head = self.terms(first, np.zeros(m + 1, dtype=int), b)
-        self.tail = self.terms(rest, b[1:], np.full(m, m))
 
-    def terms(self, term, lo: np.ndarray, hi: np.ndarray):
+    @functools.cached_property
+    def head(self) -> tuple:
+        return self.terms(self.first, np.zeros(self.m + 1, dtype=int), np.arange(self.m + 1))
+
+    @functools.cached_property
+    def tail(self) -> tuple:
+        return self.terms(self.rest, np.arange(1, self.m + 1), np.full(self.m, self.m))
+
+    def terms(self, term, lo: np.ndarray, hi: np.ndarray, within: tuple | None = None):
         """Threshold and objective term of the group holding cells lo[i]..hi[i],
         for each i.
 
@@ -398,11 +472,18 @@ class _Cut:
         cells, those outside the row's group multiplied by zero. Adding +-0.0
         leaves a sequential sum unchanged, so the prefix sums are bit for bit
         those over the group alone.
+
+        Chunks are cut from ``within``, a (_SortedBatch, cells) pair that
+        holds every group's cells, or else from the whole batch. A chunk
+        whose cells hold more than half of that batch keeps all of it, while
+        its row count follows from its cells alone, so scattered groups (a
+        pruned search's) are cut from the whole batch: cut from the span of
+        them all, their chunks would outgrow the budget.
         """
         t, v = np.empty(lo.size), np.empty(lo.size)
         if lo.size == 0:
             return t, v
-        ctx, cells = _within(self.ctx, self.cells, lo.min(), hi.max())
+        ctx, cells = (self.ctx, self.cells) if within is None else within
         s = 0
         while s < lo.size:
             a = np.minimum.accumulate(lo[s:])
@@ -419,9 +500,11 @@ class _Cut:
         return t, v
 
     def row(self, a: int):
-        """Terms of the middle groups a..b, b = a..m-1."""
+        """Terms of the middle groups a..b, b = a..m-1, cut from cells
+        a..m-1 alone when that halves the batch."""
         b = np.arange(a, self.m)
-        return self.terms(self.rest, np.full(b.size, a), b)
+        return self.terms(self.rest, np.full(b.size, a), b,
+                          _within(self.ctx, self.cells, a, self.m - 1))
 
     def fit(self, idx, ts) -> tuple:
         """(tau, t, sizes) of the breakpoint indices ``idx``."""
@@ -538,8 +621,41 @@ def _search(cut: _Cut, ks) -> dict:
     return fits
 
 
+def _pruned(cut: _Cut) -> _Cut:
+    """A copy of ``cut`` for the K = 2 search whose head and tail hold exact
+    terms only at the splits whose lower bound can still reach the least
+    total, and +inf (as for a split that empties a group) at the others.
+
+    The least total is at most that of the split with the least bound. A
+    split whose bound exceeds that by more than the rounding margin can
+    neither reach the least total nor tie with it, so the search returns,
+    bit for bit, what it returns on every split's terms.
+    """
+    m = cut.m
+    lower, margin = cut.bound(cut)
+    lower += cut.base
+    head_t, head_v = np.zeros(m + 1), np.full(m + 1, np.inf)
+    tail_t, tail_v = np.zeros(m), np.full(m, np.inf)
+
+    def score(b: np.ndarray) -> None:
+        head_t[b], head_v[b] = cut.terms(cut.first, np.zeros(b.size, dtype=int), b)
+        tail_t[b], tail_v[b] = cut.terms(cut.rest, b + 1, np.full(b.size, m))
+
+    probe = np.argsort(lower, kind="stable")[:1]
+    score(probe)
+    upper = np.min(cut.base + head_v[probe] + tail_v[probe], initial=np.inf)
+    score(np.setdiff1d(np.flatnonzero(lower <= upper + margin), probe))
+    pruned = copy.copy(cut)
+    pruned.head, pruned.tail = (head_t, head_v), (tail_t, tail_v)
+    return pruned
+
+
 def _best(cut: _Cut, k: int):
-    """(value, tau, t, sizes) of the K-group minimizer on ``cut``, or None."""
+    """(value, tau, t, sizes) of the K-group minimizer on ``cut``, or None.
+    A K = 2 search on a cut with a bound scores only the splits it cannot
+    rule out."""
+    if k == 2 and cut.bound is not None:
+        cut = _pruned(cut)
     fit = _search(cut, [k]).get(k)
     return None if fit is None else (fit[0], *cut.fit(fit[1], fit[2]))
 

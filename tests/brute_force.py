@@ -44,7 +44,8 @@ def _hybrid_fires(capped_sum, size, n):
 def sure_group(ctx: _SortedBatch, sel, hybrid: bool):
     zs = ctx.zs[sel]
     s2s = ctx.s2s[sel]
-    if hybrid and _hybrid_fires(float(ctx.capped[sel].sum()), zs.size, ctx.n):
+    # the capped sum in z order, as the package takes it
+    if hybrid and _hybrid_fires(float(np.cumsum(ctx.capped[sel])[-1]), zs.size, ctx.n):
         return ctx.t_n, float(_objective_values(zs, s2s, np.array([ctx.t_n]))[0])
     cands = _candidates(zs, ctx.t_n)
     vals = _objective_values(zs, s2s, cands)

@@ -174,6 +174,8 @@ class TestOracleSide:
                       s=xi, theta=np.zeros(n), xi=xi)
         with pytest.raises(ValueError, match="nonempty groups"):
             fit_oracle_side(b)
+        with pytest.raises(ValueError, match="nonempty groups"):
+            _SideOracleAccumulator(b)
 
 
 class TestEjs:

@@ -6,7 +6,7 @@ of the breakpoint grid. On small grids the two must agree exactly: the same
 breakpoints, thresholds and group sizes, and the same objective value bit for
 bit, with ties resolved to the lexicographically smallest breakpoints. The
 batches include empty grid cells (clustered side values), tied |y|/sigma
-values and y == 0 entries.
+values, y == 0 entries and a group whose hybrid statistic sits on the bound.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import brute_force
-from auxshrink import DataBatch, SearchConfig, fit_asus, fit_oracle_loss
+from auxshrink import DataBatch, SearchConfig, fit_asus, fit_oracle_loss, universal_threshold
 from auxshrink.tuner import (
     _best,
     _Cut,
@@ -183,3 +183,41 @@ def test_tie_rule_is_lexicographic():
     assert lexicographic[1].tolist() == [1.0, 5.0]
     assert smallest_last[1].tolist() == [3.0, 4.0]
     assert_same(searched(batch, "sure-plain", 3, mn), lexicographic)
+
+
+def hybrid_bound_batch(seed: int) -> tuple:
+    """Two groups of 200 (S = 0 and S = 10) and the first group's z. The
+    first group's capped mean sits on the hybrid bound: its largest z is
+    chosen so that the z-ordered and the pairwise capped sums fall on either
+    side of it (seed 0: the z-ordered sum fires; seed 4: the pairwise one)."""
+    n, g = 400, 200
+    t_n = universal_threshold(n)
+    bound = n**-0.5 * np.log(n) ** 1.5
+    rng = np.random.default_rng(seed)
+    base = np.sort(rng.uniform(0.0, 1.0, g - 1))
+    base *= np.sqrt((g * (1.0 + bound) - 9.0) / np.sum(base**2))
+
+    def fires(y, total):
+        capped = np.minimum(np.append(base, y) ** 2, t_n**2)
+        return total(capped) / g - 1.0 <= bound
+
+    def flip(total):
+        """Smallest largest-z at which the rule stops firing."""
+        lo, hi = 2.6, 3.4
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if fires(mid, total) else (lo, mid)
+        return hi
+
+    z = np.append(base, min(flip(lambda capped: np.cumsum(capped)[-1]), flip(np.sum)))
+    y = np.concatenate([z * rng.choice([-1.0, 1.0], g), rng.normal(0, 1, g)])
+    return DataBatch(y=y, sigma=np.ones(n), s=np.repeat([0.0, 10.0], g)), z
+
+
+@pytest.mark.parametrize("seed", (0, 4))
+def test_group_at_the_hybrid_bound_matches_enumeration(seed):
+    """The search and the reference take the hybrid statistic in z order,
+    so they decide alike on a group within rounding of the bound."""
+    batch, _ = hybrid_bound_batch(seed)
+    for k in (1, 2, 3):
+        assert_same(searched(batch, "sure-hybrid", k, 1.0), enumerated(batch, "sure-hybrid", k, 1.0))

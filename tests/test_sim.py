@@ -307,6 +307,19 @@ def test_side_oracle_add_stays_small(spec):
     assert peak < 1_000_000
 
 
+def test_oracle_loss_fit_stays_small():
+    # the bound one segment at a time, then the unpruned splits' masked rows
+    batch = generate(ScenarioSpec(family="two-sample-s2", n=5000))
+    sim.fit_oracle_loss(batch)
+    tracemalloc.start()
+    try:
+        sim.fit_oracle_loss(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_generate_dispatch_covers_all_families():
     specs = [
         ScenarioSpec(family="one-sample-s1", n=600, m=10, aux_variant=1, seed=1),

@@ -22,6 +22,7 @@ from auxshrink import (
 )
 from auxshrink.tuner import _fit_grid
 from brute_force import _objective_values
+from test_search_equivalence import hybrid_bound_batch
 
 
 def random_batch(rng, n, with_theta=False):
@@ -213,40 +214,21 @@ class TestFitAsus:
 
     @pytest.mark.parametrize("seed", [0, 4])
     def test_group_at_the_hybrid_bound_decides_as_on_its_own(self, seed):
-        # Group 1's capped mean sits on the bound: its largest z is chosen so
-        # that the z-ordered and the pairwise capped sums fall on either side
-        # of it (seed 0: the z-ordered sum fires; seed 4: the pairwise one).
+        # Group 1's capped mean sits on the bound, with its z-ordered and its
+        # pairwise capped sums on either side of it (hybrid_bound_batch).
         # The grouped fit must decide as fit_group_threshold on the group.
-        n, g = 400, 200
+        b, z = hybrid_bound_batch(seed)
+        n, g = b.n, z.size
         t_n = universal_threshold(n)
         bound = n**-0.5 * np.log(n) ** 1.5
-        rng = np.random.default_rng(seed)
-        base = np.sort(rng.uniform(0.0, 1.0, g - 1))
-        base *= np.sqrt((g * (1.0 + bound) - 9.0) / np.sum(base**2))
-
-        def fires(y, total):
-            capped = np.minimum(np.append(base, y) ** 2, t_n**2)
-            return total(capped) / g - 1.0 <= bound
-
-        def flip(total):
-            """Smallest largest-z at which the rule stops firing."""
-            lo, hi = 2.6, 3.4
-            while np.nextafter(lo, hi) < hi:
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if fires(mid, total) else (lo, mid)
-            return hi
-
-        z_order = lambda capped: np.cumsum(capped)[-1]
-        y = min(flip(z_order), flip(np.sum))
-        assert fires(y, z_order) != fires(y, np.sum)
-        z = np.append(base, y)
-        b = DataBatch(y=np.concatenate([z * rng.choice([-1.0, 1.0], g), rng.normal(0, 1, g)]),
-                      sigma=np.ones(n), s=np.repeat([0.0, 10.0], g))
+        capped = np.minimum(z**2, t_n**2)
+        fires = np.cumsum(capped)[-1] / g - 1.0 <= bound
+        assert fires != (np.sum(capped) / g - 1.0 <= bound)
         fit = fit_asus(b)
         assert fit.group_sizes.tolist() == [g, g]
         own = fit_group_threshold(z, np.ones(g), n)
         assert fit.hp.t[0] == own
-        assert (own == t_n) == fires(y, z_order)
+        assert (own == t_n) == fires
         assert fit_group_threshold(z, np.ones(g), n, hybrid=False) < t_n
 
 
