@@ -60,32 +60,42 @@ def _round12(x):
     return x
 
 
-class _OutputSet:
-    """Collects finished file contents and writes them all-or-nothing."""
+def _csv(header, rows) -> str:
+    """CSV text: the header line, then one line per row."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
-    def __init__(self):
-        self._pending = []
 
-    def add(self, path: str, text: str) -> None:
-        self._pending.append((path, text))
-
-    def commit(self) -> None:
-        written = []
-        try:
-            for path, text in self._pending:
-                tmp = path + ".tmp"
-                with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
-                written.append((tmp, path))
-            for tmp, path in written:
-                os.replace(tmp, path)
-        except BaseException:
-            for tmp, _ in written:
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
-            raise
+def _commit(files) -> None:
+    """Write each (path, text) of ``files`` all-or-nothing: every text goes to
+    ``path + ".tmp"`` first, and only when all are written are they moved
+    into place; on failure the temporary files are removed. Two outputs at
+    one resolved path are rejected before anything is written."""
+    seen = set()
+    for path, _ in files:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{path}: two outputs would be written to this one path")
+        seen.add(real)
+    written = []
+    try:
+        for path, text in files:
+            tmp = path + ".tmp"
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            written.append((tmp, path))
+        for tmp, path in written:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in written:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+        raise
 
 
 def read_batch_csv(path: str) -> tuple[DataBatch, list]:
@@ -131,24 +141,6 @@ def read_batch_csv(path: str) -> tuple[DataBatch, list]:
     return batch, ids
 
 
-def _estimates_csv(ids, batch, theta_hat, groups) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["id", "y", "sigma", "s", "theta_hat", "group"])
-    for i, ident in enumerate(ids):
-        w.writerow(
-            [
-                ident,
-                f"{batch.y[i]:.17g}",
-                f"{batch.sigma[i]:.17g}",
-                f"{batch.s[i]:.17g}",
-                f"{theta_hat[i]:.17g}",
-                int(groups[i]),
-            ]
-        )
-    return buf.getvalue()
-
-
 def cmd_estimate(args) -> int:
     batch, ids = read_batch_csv(args.input)
     method = ALIASES.get(args.method, args.method)
@@ -170,10 +162,10 @@ def cmd_estimate(args) -> int:
         "mn_factor": _round12(args.mn_factor),
         "hybrid": bool(args.hybrid),
     }
-    out = _OutputSet()
-    out.add(args.output, _estimates_csv(ids, batch, fr.theta_hat, groups))
-    out.add(args.report, json.dumps(report, indent=2) + "\n")
-    out.commit()
+    estimates = _csv(["id", "y", "sigma", "s", "theta_hat", "group"], (
+        [ident, f"{batch.y[i]:.17g}", f"{batch.sigma[i]:.17g}", f"{batch.s[i]:.17g}",
+         f"{fr.theta_hat[i]:.17g}", int(groups[i])] for i, ident in enumerate(ids)))
+    _commit([(args.output, estimates), (args.report, json.dumps(report, indent=2) + "\n")])
     return 0
 
 
@@ -182,33 +174,19 @@ def cmd_sweep(args) -> int:
     cfg = SearchConfig(k=2, mn_factor=args.mn_factor, hybrid=args.hybrid)
     curve = sweep_tau(batch, cfg)
     ref = fit_sureshrink(batch, hybrid=args.hybrid)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["kind", "tau", "sure", "t1", "t2"])
-    w.writerow(["reference", "", f"{ref.sure_value:.17g}", f"{ref.hp.t[0]:.17g}", ""])
-    for tau, sv, t1, t2 in zip(
-        curve.tau_values, curve.sure_values, curve.t1_values, curve.t2_values
-    ):
-        w.writerow(["sweep", f"{tau:.17g}", f"{sv:.17g}", f"{t1:.17g}", f"{t2:.17g}"])
-    out = _OutputSet()
-    out.add(args.output, buf.getvalue())
-    out.commit()
+    rows = [["reference", "", f"{ref.sure_value:.17g}", f"{ref.hp.t[0]:.17g}", ""]]
+    rows += (["sweep", *(f"{v:.17g}" for v in point)] for point in zip(
+        curve.tau_values, curve.sure_values, curve.t1_values, curve.t2_values))
+    _commit([(args.output, _csv(["kind", "tau", "sure", "t1", "t2"], rows))])
     return 0
 
 
 def cmd_choose_k(args) -> int:
     batch, _ = read_batch_csv(args.input)
     sel = select_k(batch, args.kmax, mn_factor=args.mn_factor, hybrid=args.hybrid)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["k", "sure", "selected", "elbow"])
-    for i, sv in enumerate(sel.sure_values, start=1):
-        w.writerow(
-            [i, f"{sv:.17g}", int(i == sel.k_selected), int(i == sel.k_elbow)]
-        )
-    out = _OutputSet()
-    out.add(args.output, buf.getvalue())
-    out.commit()
+    rows = ([i, f"{sv:.17g}", int(i == sel.k_selected), int(i == sel.k_elbow)]
+            for i, sv in enumerate(sel.sure_values, start=1))
+    _commit([(args.output, _csv(["k", "sure", "selected", "elbow"], rows))])
     return 0
 
 
@@ -253,17 +231,13 @@ def cmd_simulate(args) -> int:
         mn_factor=args.mn_factor,
         hybrid=args.hybrid,
     )
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["replication", "estimator", "loss"])
-    for nm, res in report.results.items():
-        for r, lv in enumerate(res.losses):
-            w.writerow([r, nm, f"{lv:.17g}"])
-    losses_path = os.path.splitext(args.output)[0] + "_losses.csv"
-    out = _OutputSet()
-    out.add(args.output, json.dumps(_round12(report.to_dict()), indent=2) + "\n")
-    out.add(losses_path, buf.getvalue())
-    out.commit()
+    losses = ([r, nm, f"{lv:.17g}"] for nm, res in report.results.items()
+              for r, lv in enumerate(res.losses))
+    _commit([
+        (args.output, json.dumps(_round12(report.to_dict()), indent=2) + "\n"),
+        (os.path.splitext(args.output)[0] + "_losses.csv",
+         _csv(["replication", "estimator", "loss"], losses)),
+    ])
     return 0
 
 

@@ -101,17 +101,17 @@ class HyperParams:
     """Grouping breakpoints plus one soft threshold per group.
 
     ``tau`` has length K-1 and must be strictly increasing (empty for K=1);
-    ``t`` has length K with nonnegative entries. Thresholds fitted by the
-    tuner stay within [0, universal_threshold(n)]; callers may construct
-    larger values (the screening baseline does).
+    ``t`` has length K with nonnegative entries; both must be finite.
+    Thresholds fitted by the tuner stay within [0, universal_threshold(n)];
+    callers may construct larger values (the screening baseline does).
     """
 
     tau: np.ndarray
     t: np.ndarray
 
     def __post_init__(self):
-        tau = _as_vector(self.tau, "tau")
-        t = _as_vector(self.t, "t")
+        tau = _finite_vector(self.tau, "tau")
+        t = _finite_vector(self.t, "t")
         if t.size < 1:
             raise ValueError("need at least one threshold")
         if tau.size != t.size - 1:
@@ -177,10 +177,11 @@ def soft_estimate(y_i, sigma_i, t):
 def partition(s, tau) -> Grouping:
     """Assign each coordinate to the group whose (tau_{k-1}, tau_k] cell holds s_i.
 
-    Boundary values go to the lower group. ``tau`` may be empty (K=1).
+    Boundary values go to the lower group. ``tau`` may be empty (K=1); ``s``
+    and ``tau`` must be finite.
     """
-    s = _as_vector(s, "s")
-    tau = _as_vector(tau, "tau")
+    s = _finite_vector(s, "s")
+    tau = _finite_vector(tau, "tau")
     if tau.size > 1 and np.any(np.diff(tau) <= 0):
         raise ValueError("tau must be strictly increasing")
     k = tau.size + 1

@@ -328,25 +328,28 @@ class RiskReport:
         return out
 
 
-def _summarize(name, losses, taus, ts, sizes) -> EstimatorRisk:
-    losses = np.asarray(losses, dtype=float)
-    n = losses.size
-    mean = float(losses.mean())
-    if n >= 2:
-        sd = float(losses.std(ddof=1))
-        se = sd / math.sqrt(n)
-    else:
-        sd = None
-        se = None
+def _summarize(name, rows) -> EstimatorRisk:
+    """Summarize one estimator's (loss, hp, group_sizes) rows, one per
+    replication. A rule shared by every row (the side oracle's) is reported
+    as it is: the mean of identical floats need not equal them."""
+    losses = np.asarray([lv for lv, _, _ in rows], dtype=float)
+    sd = float(losses.std(ddof=1)) if losses.size >= 2 else None
+    hps = [hp for _, hp, _ in rows if hp is not None]
+    mean_tau = mean_t = None
+    if hps and all(hp is hps[0] for hp in hps):
+        mean_tau, mean_t = hps[0].tau.tolist(), hps[0].t.tolist()
+    elif hps:
+        mean_tau = list(np.mean([hp.tau for hp in hps], axis=0))
+        mean_t = list(np.mean([hp.t for hp in hps], axis=0))
     return EstimatorRisk(
         name=name,
         losses=losses,
-        mean_loss=mean,
+        mean_loss=float(losses.mean()),
         sd_loss=sd,
-        se_loss=se,
-        mean_tau=None if taus is None else list(np.mean(taus, axis=0)),
-        mean_t=None if ts is None else list(np.mean(ts, axis=0)),
-        mean_sizes=None if sizes is None else list(np.mean(sizes, axis=0)),
+        se_loss=None if sd is None else sd / math.sqrt(losses.size),
+        mean_tau=mean_tau,
+        mean_t=mean_t,
+        mean_sizes=list(np.mean([sz for _, _, sz in rows], axis=0)),
     )
 
 
@@ -406,13 +409,6 @@ class _SideOracleAccumulator:
         return float(self.tau_cands[s]), float(self.t_grid[i[s, 0]]), float(self.t_grid[i[s, 1]])
 
 
-def _oracle_loss_at(view: DataBatch, hp: HyperParams):
-    """Realized loss and group sizes of the fixed side-oracle rule on a
-    replication's scoring view, whose auxiliary sequence is its latent xi."""
-    theta_hat = apply_estimator(view, hp)
-    return loss(view.theta, theta_hat), partition(view.s, hp.tau).sizes
-
-
 @dataclass(frozen=True)
 class Estimator:
     """A registry entry. ``fit(batch, cfg)`` returns a FitResult named
@@ -469,11 +465,13 @@ def run_risk_experiment(
     seeds derive deterministically from spec.seed, so identical inputs give
     identical reports.
 
-    Each replication is generated once. When "oracle" is requested, its
-    scoring view (the batch with ``s=xi``: y, sigma, theta and xi, 32
-    bytes per coordinate) is kept until every replication has been fitted;
-    otherwise no batch outlives its replication. A failure in any
-    replication, fitting or scoring, raises RuntimeError naming it.
+    Each replication is generated once and adds one (loss, hp, group_sizes)
+    row per name; the side oracle's rows follow once the averaged grid is
+    minimized. When "oracle" is requested, each replication's scoring view
+    (the batch with ``s=xi``: y, sigma, theta and xi, 32 bytes per
+    coordinate) is kept until then; otherwise no batch outlives its
+    replication. A failure in any replication, fitting or scoring, raises
+    RuntimeError naming it.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
@@ -481,55 +479,42 @@ def run_risk_experiment(
     cfg = SearchConfig(k=k, mn_factor=mn_factor, hybrid=hybrid)
     child_seeds = [int(s) for s in
                    np.random.SeedSequence(spec.seed).generate_state(n_reps, np.uint64)]
+    rows = {nm: [] for nm in names}  # (loss, hp, group_sizes) per replication
+    oracle, views = None, []  # the side oracle's accumulator and scoring views
 
-    want_oracle = "oracle" in names
-    fitted_names = [nm for nm in names if nm != "oracle"]
-    losses = {nm: [] for nm in fitted_names}
-    taus = {nm: [] for nm in fitted_names}
-    ts = {nm: [] for nm in fitted_names}
-    sizes = {nm: [] for nm in fitted_names}
-    oracle_acc = None
-    oracle_views = []
+    def fit(r):
+        nonlocal oracle
+        batch = generate(dataclasses.replace(spec, seed=child_seeds[r]))
+        for nm, out in rows.items():
+            if nm == "oracle":
+                if oracle is None:
+                    oracle = _SideOracleAccumulator(batch)
+                oracle.add(batch)
+                views.append(dataclasses.replace(batch, s=batch.xi))
+            else:
+                fr = ESTIMATORS[nm].fit(batch, cfg)
+                out.append((fr.loss_value, fr.hp, fr.group_sizes))
 
+    _each_replication(n_reps, fit)
+    if oracle is not None:
+        tau, t1, t2 = oracle.minimize()
+        hp = HyperParams(tau=[tau], t=[t1, t2])
+
+        def score(r):
+            theta_hat = apply_estimator(views[r], hp)
+            rows["oracle"].append((loss(views[r].theta, theta_hat), hp,
+                                   partition(views[r].s, hp.tau).sizes))
+
+        _each_replication(n_reps, score)
+    return RiskReport(spec=spec, n_reps=n_reps,
+                      results={nm: _summarize(nm, out) for nm, out in rows.items()})
+
+
+def _each_replication(n_reps: int, step) -> None:
+    """Call step(r) for each replication r in order; a failure raises
+    RuntimeError naming the replication."""
     for r in range(n_reps):
         try:
-            batch = generate(dataclasses.replace(spec, seed=child_seeds[r]))
-            if want_oracle:
-                if oracle_acc is None:
-                    oracle_acc = _SideOracleAccumulator(batch)
-                oracle_acc.add(batch)
-                oracle_views.append(dataclasses.replace(batch, s=batch.xi))
-            for nm in fitted_names:
-                fr = ESTIMATORS[nm].fit(batch, cfg)
-                losses[nm].append(fr.loss_value)
-                if fr.hp is not None:
-                    taus[nm].append(np.asarray(fr.hp.tau))
-                    ts[nm].append(np.asarray(fr.hp.t))
-                sizes[nm].append(np.asarray(fr.group_sizes))
+            step(r)
         except Exception as exc:
             raise RuntimeError(f"replication {r} failed: {exc}") from exc
-
-    results = {}
-    for nm in fitted_names:
-        results[nm] = _summarize(nm, losses[nm], taus[nm] or None, ts[nm] or None,
-                                 sizes[nm] or None)
-
-    if want_oracle:
-        tau_star, t1, t2 = oracle_acc.minimize()
-        hp = HyperParams(tau=[tau_star], t=[t1, t2])
-        or_losses = []
-        or_sizes = []
-        for r, view in enumerate(oracle_views):
-            try:
-                lv, sz = _oracle_loss_at(view, hp)
-            except Exception as exc:
-                raise RuntimeError(f"replication {r} failed: {exc}") from exc
-            or_losses.append(lv)
-            or_sizes.append(sz)
-        rr = _summarize("oracle", or_losses, None, None, or_sizes)
-        rr.mean_tau = [tau_star]
-        rr.mean_t = [t1, t2]
-        results["oracle"] = rr
-
-    ordered = {nm: results[nm] for nm in names}
-    return RiskReport(spec=spec, n_reps=n_reps, results=ordered)

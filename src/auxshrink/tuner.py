@@ -47,6 +47,7 @@ from .core import (
     DataBatch,
     FitResult,
     HyperParams,
+    _finite_vector,
     _sure_rows,
     apply_estimator,
     loss,
@@ -94,8 +95,12 @@ class SearchConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("K must be at least 1")
-        if self.mn_factor <= 0:
-            raise ValueError("mn_factor must be positive")
+        _check_mn_factor(self.mn_factor)
+
+
+def _check_mn_factor(mn_factor: float) -> None:
+    if not (math.isfinite(mn_factor) and mn_factor > 0):
+        raise ValueError(f"mn_factor must be finite and positive, not {mn_factor}")
 
 
 @dataclass(frozen=True)
@@ -122,14 +127,13 @@ def tau_grid(s, mn_factor: float = 50.0) -> np.ndarray:
 
     Returns m_n = ceil(mn_factor * ln n) points; the range endpoints
     themselves are excluded. A constant auxiliary sequence carries no
-    ordering information and is rejected.
+    ordering information and is rejected, as is a non-finite one.
     """
-    s = np.asarray(s, dtype=float)
+    s = _finite_vector(s, "s")
     n = s.size
     if n < 2:
         raise ValueError("need at least two coordinates to build a grid")
-    if mn_factor <= 0:
-        raise ValueError("mn_factor must be positive")
+    _check_mn_factor(mn_factor)
     lo = float(s.min())
     hi = float(s.max())
     if lo == hi:
@@ -202,14 +206,16 @@ def fit_group_threshold(z, sigma, n_global: int, hybrid: bool = True) -> float:
     objective is minimized over the group's candidate set, smallest
     threshold winning ties. This is the group term every grouped fit uses.
     """
-    z = np.asarray(z, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
+    z = _finite_vector(z, "z")
+    sigma = _finite_vector(sigma, "sigma")
     if z.size == 0:
         raise ValueError("group is empty")
     if z.shape != sigma.shape:
         raise ValueError("z and sigma must have equal length")
     if np.any(z < 0):
         raise ValueError("z must hold magnitudes |y|/sigma >= 0")
+    if np.any(sigma <= 0):
+        raise ValueError("all sigma values must be positive")
     ctx = _SortedBatch.of_group(z, sigma, n_global)
     t, _ = _sure_group(ctx, np.ones((1, z.size), dtype=bool), hybrid)
     return float(t[0])
@@ -763,6 +769,7 @@ def select_k(
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    _check_mn_factor(mn_factor)
     cut = _sure_cut(batch, _fit_grid(batch.s, k_max, mn_factor), hybrid)
     fits = _search(cut, range(1, k_max + 1))
     sures = []

@@ -227,6 +227,27 @@ class TestEstimate:
         assert rc == 1
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("report", ["out", "./out"])
+    def test_one_path_for_both_outputs_writes_nothing(self, toy_csv, tmp_path, capsys,
+                                                      report):
+        rc = main(["estimate", "--input", str(toy_csv), "--output", str(tmp_path / "out"),
+                   "--report", f"{tmp_path}/{report}"])
+        assert rc == 1
+        assert f"{tmp_path}/{report}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv"]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", [["estimate", "--report", "r.json"], ["sweep"],
+                                     ["choose-k", "--kmax", "3"]])
+def test_non_finite_mn_factor_exits_naming_it(toy_csv, tmp_path, capsys, command, value):
+    argv = [command[0], "--input", str(toy_csv), "--output", str(tmp_path / "o.csv"),
+            *(str(tmp_path / a) if a.endswith(".json") else a for a in command[1:]),
+            "--mn-factor", value]
+    assert main(argv) == 1
+    assert "error: mn_factor must be finite and positive" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv"]
+
 
 class TestSweep:
     def test_reference_and_minimum_rows(self, toy_csv, tmp_path):

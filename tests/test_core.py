@@ -220,6 +220,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="index 1:"):
             DataBatch(y=[0.0, np.nan, np.inf], sigma=np.ones(3), s=np.ones(3))
 
+    @pytest.mark.parametrize("tau, t, message", [
+        ([np.nan], [1.0, 1.0], "tau is not finite at index 0: nan"),
+        ([1.0], [1.0, np.nan], "t is not finite at index 1: nan"),
+        ([0.0, np.inf], [1.0, 1.0, 1.0], "tau is not finite at index 1: inf"),
+    ])
+    def test_hyperparams_reject_non_finite_values(self, tau, t, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            HyperParams(tau=tau, t=t)
+
+    def test_partition_rejects_non_finite_values(self):
+        with pytest.raises(ValueError, match="^tau is not finite at index 0: nan$"):
+            partition([0.0, 1.0], [np.nan])
+        with pytest.raises(ValueError, match="^s is not finite at index 1: nan$"):
+            partition([0.0, np.nan], [0.5])
+
     def test_hyperparams_reject_bad_shapes(self):
         with pytest.raises(ValueError):
             HyperParams(tau=[1.0], t=[0.5])  # tau must be K-1 long

@@ -54,6 +54,17 @@ class TestTauGrid:
         assert grid.min() > s.min() and grid.max() < s.max()
         assert np.all(np.diff(grid) > 0)
 
+    def test_non_finite_sequence_rejected(self):
+        with pytest.raises(ValueError, match="^s is not finite at index 1: inf$"):
+            tau_grid([0.0, np.inf, 1.0])
+
+    @pytest.mark.parametrize("mn_factor", [np.inf, np.nan, 0.0, -1.0])
+    def test_mn_factor_must_be_finite_and_positive(self, mn_factor):
+        with pytest.raises(ValueError, match="^mn_factor must be finite and positive"):
+            tau_grid([0.0, 1.0, 2.0], mn_factor)
+        with pytest.raises(ValueError, match="^mn_factor must be finite and positive"):
+            SearchConfig(mn_factor=mn_factor)
+
     def test_degenerate_sequence_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             tau_grid(np.ones(10), 50.0)
@@ -95,6 +106,15 @@ class TestFitGroupThreshold:
         assert universal_threshold(n) < 5.0
         t = fit_group_threshold(z, np.ones(20), n, hybrid=False)
         assert t == 0.0
+
+    def test_non_finite_magnitude_rejected(self):
+        with pytest.raises(ValueError, match="^z is not finite at index 0: nan$"):
+            fit_group_threshold([np.nan, 1.0, 2.0], np.ones(3), 100)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            fit_group_threshold([0.5, 1.0, 2.0], [1.0, sigma, 1.0], 100)
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
