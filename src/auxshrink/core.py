@@ -37,20 +37,23 @@ __all__ = [
 ]
 
 
-def _as_vector(x, name: str) -> np.ndarray:
+def _finite(x, name: str) -> np.ndarray:
+    """``x`` as a float array of any shape; a non-finite entry raises
+    ValueError naming ``name`` and the entry's index."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d array, got shape {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = tuple(int(k) for k in np.unravel_index(np.argmin(finite), arr.shape))
+        where = f" at index {i[0] if arr.ndim == 1 else i}" if arr.ndim else ""
+        raise ValueError(f"{name} is not finite{where}: {arr[i]}")
     return arr
 
 
 def _finite_vector(x, name: str) -> np.ndarray:
-    arr = _as_vector(x, name)
-    finite = np.isfinite(arr)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"{name} is not finite at index {i}: {arr[i]}")
-    return arr
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d array, got shape {arr.shape}")
+    return _finite(arr, name)
 
 
 @dataclass(frozen=True)
@@ -158,11 +161,12 @@ def universal_threshold(n: int) -> float:
 def soft_estimate(y_i, sigma_i, t):
     """Soft-threshold estimate: 0 when |y/sigma| <= t, else shrink by sigma*t.
 
-    Accepts scalars or arrays (broadcasting elementwise).
+    Accepts scalars or arrays (broadcasting elementwise); every entry must
+    be finite.
     """
-    y_i = np.asarray(y_i, dtype=float)
-    sigma_i = np.asarray(sigma_i, dtype=float)
-    t = np.asarray(t, dtype=float)
+    y_i = _finite(y_i, "y")
+    sigma_i = _finite(sigma_i, "sigma")
+    t = _finite(t, "t")
     if np.any(sigma_i <= 0):
         raise ValueError("sigma must be positive")
     if np.any(t < 0):
@@ -223,9 +227,10 @@ def _sure_rows(batch: DataBatch, t_rows: np.ndarray) -> np.ndarray:
 
 
 def loss(theta, theta_hat) -> float:
-    """Mean squared error n^{-1} ||theta_hat - theta||^2."""
-    theta = _as_vector(theta, "theta")
-    theta_hat = _as_vector(theta_hat, "theta_hat")
+    """Mean squared error n^{-1} ||theta_hat - theta||^2; both vectors must
+    be finite."""
+    theta = _finite_vector(theta, "theta")
+    theta_hat = _finite_vector(theta_hat, "theta_hat")
     if theta.shape != theta_hat.shape:
         raise ValueError("theta and theta_hat must have equal length")
     diff = theta_hat - theta

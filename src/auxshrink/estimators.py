@@ -77,7 +77,7 @@ def fit_auxscr(batch: DataBatch, mn_factor: float = 50.0) -> FitResult:
 
 def _loss_cut(batch: DataBatch, side: np.ndarray, grid: np.ndarray) -> _Cut:
     """The realized-loss terms of the groups on ``grid`` over ``side``,
-    with the lower bound that prunes their K = 2 search."""
+    with the interval bound that prunes their K = 2 and K = 3 searches."""
     return _Cut(_SortedBatch(batch, side, loss=True), grid, _min_loss_threshold,
                 _min_loss_threshold, 0.0, bound=_loss_bound)
 

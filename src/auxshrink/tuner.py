@@ -16,15 +16,20 @@ be and still reach it, and a greedy pass then picks the lexicographically
 smallest breakpoints. Its cost grows with the square of the number of
 nonempty cells, not with the C(m, K-1) breakpoint vectors.
 
-The K = 2 searches of the realized-loss fits (``fit_oracle_loss``,
-``fit_oracle_side``) first rule splits out, as pruning does in optimal
-partitioning (Killick et al. 2012, "Optimal detection of changepoints with
-a linear computational cost"). ``_loss_bound`` bounds each split's loss from
-below in one pass over a fixed coarse grid of thresholds; ``_best`` takes
-the exact total of the split with the least bound and scores exactly only
-the splits whose bound is at most that total plus a rounding margin. The
-others cannot reach the minimum or tie with it, so the fit is bit for bit
-that of scoring every split. Every other search scores every group.
+Two searches first rule groups out, as pruning does in optimal partitioning
+(Killick et al. 2012, "Optimal detection of changepoints with a linear
+computational cost"). ``_IntervalBound`` bounds from below the least term of
+the group on any run of cells, from per-coordinate minima on a fixed coarse
+grid of thresholds. The K = 2 searches of the realized-loss fits
+(``fit_oracle_loss``, ``fit_oracle_side``) score exactly only the splits
+whose bound can still reach the least total (``_pruned``). A search whose
+largest K is 3 (``select_k(k_max=3)``, ``fit_asus`` and ``fit_oracle_loss``
+at K = 3) scores exactly only the middle groups whose bound can
+(``_pruned_middle``). Each takes the exact total of the split or pair with
+the least bound; the others bound above it by more than a rounding margin,
+so they cannot reach the minimum or tie with it, and the fit is bit for bit
+that of scoring every group. The K = 2 SURE and screening searches, and the
+middle groups of K >= 4, score every group.
 
 For each group the threshold is chosen on the group's order statistics:
 between consecutive standardized magnitudes the SURE objective is
@@ -74,8 +79,14 @@ _CHUNK_ELEMENTS = 1 << 12
 # elements of one (breakpoints x coordinates) stack of thresholds in
 # sweep_tau; with the SURE formula's temporaries about 1 MB is live at once
 _SWEEP_ELEMENTS = 1 << 15
-# segments of [0, t_n] on which _loss_bound bounds each cell's realized loss
-_BOUND_SEGMENTS = 65
+# segments of [0, t_n] on which _IntervalBound bounds each cell's term. On
+# two-sample-s2 batches of 5000 rows, 65 segments left 2-3 times the splits
+# (K = 2 loss) and 18 times the middle groups (K = 3 SURE) to score that 129
+# leave; 257 raised a K = 2 loss fit's peak memory from 0.86 to 1.05 MB
+_BOUND_SEGMENTS = 129
+# the most points tau_grid builds: 8 MB of breakpoints, and far beyond any
+# density a search can score
+_GRID_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,8 @@ def tau_grid(s, mn_factor: float = 50.0) -> np.ndarray:
 
     Returns m_n = ceil(mn_factor * ln n) points; the range endpoints
     themselves are excluded. A constant auxiliary sequence carries no
-    ordering information and is rejected, as is a non-finite one.
+    ordering information and is rejected, as is a non-finite one, and so is
+    an ``mn_factor`` that asks for more than 2^20 points.
     """
     s = _finite_vector(s, "s")
     n = s.size
@@ -141,7 +153,13 @@ def tau_grid(s, mn_factor: float = 50.0) -> np.ndarray:
             "auxiliary sequence is degenerate (all values equal); "
             "it induces no grouping"
         )
-    m = int(math.ceil(mn_factor * math.log(n)))
+    size = mn_factor * math.log(n)  # inf when it overflows
+    if size > _GRID_LIMIT:
+        raise ValueError(
+            f"mn_factor {mn_factor} asks for m = ceil({mn_factor} * ln {n}) = {size:.4g} "
+            f"grid points; at most {_GRID_LIMIT} are allowed"
+        )
+    m = int(math.ceil(size))
     j = np.arange(1, m + 1, dtype=float)
     return lo + j * (hi - lo) / (m + 1)
 
@@ -367,57 +385,184 @@ def _min_loss_threshold(ctx: _SortedBatch, mask: np.ndarray) -> tuple:
     return np.where(take, tv, t), np.where(take, vv, v)
 
 
-def _loss_bound(cut: _Cut) -> tuple:
-    """(lower, margin) of a realized-loss cut for the K = 2 search: for each
-    split b = 0..m-1, a lower bound on the least loss of cells 0..b plus the
-    least loss of cells b+1..m (+inf where a group is empty), and the margin
-    by which rounding may move the search's totals and these bounds.
+class _IntervalBound:
+    """Lower bounds on the least term of the group on cells a..b of a cut,
+    for any a <= b, and the margin by which rounding may move the search's
+    totals and these bounds.
 
-    A coordinate loses theta^2 at thresholds t >= z and sigma^2 (v - t)^2
-    below z, with v = sign(y) (y - theta) / sigma. On a segment
-    [t_j, t_{j+1}] of a fixed grid on [0, t_n] it thus loses at least
-    theta^2 if z <= t_j, sigma^2 d^2 if z > t_{j+1}, d the distance from v
-    to the segment, and the smaller of the two otherwise. Summed over a
-    group these minima bound its loss on the segment, and their least over
-    segments bounds its least loss. One segment at a time, the sums per
-    cell accumulate over cells from below for group 1 and from the top for
-    group 2.
+    Each coordinate's term is ``below`` at thresholds t >= z, and at least
+    ``above(t_j, t_{j+1}, i)`` below z for t in [t_j, t_{j+1}]
+    (coordinates i.. of the batch). On a segment [t_j, t_{j+1}] of a fixed
+    grid on [0, t_n] a coordinate's term is thus at least the first if
+    z <= t_j, the second if z > t_{j+1} and the smaller of the two
+    otherwise. Summed over a group these minima bound its term on the
+    segment, and their least over segments bounds its least term. Each
+    segment's sums are taken cumulatively over the cells, so a group's sum
+    is the difference of two entries. The K = 2 splits take them one
+    segment at a time, in O(m) memory; the rows of a K = 3 search and any
+    other intervals take the table of all segments, O(segments x m).
+
+    With ``hybrid`` (SURE only) a group whose capped sum surely fires the
+    hybrid rule has its exact term at t_n as its bound. "Surely" means with
+    the slack derived below added to the sum; a group within it keeps the
+    segment bound, which holds whether the rule fires or not.
     """
-    ctx, m, cells = cut.ctx, cut.m, cut.cells
+
+    def __init__(self, cut: _Cut, below: np.ndarray, above, scale: float,
+                 hybrid: bool = False):
+        ctx, m = cut.ctx, cut.m
+        self.m, self.n, self.cells, self.count = m, ctx.n, cut.cells, cut.count
+        self.skip_empty, self.below, self.above = cut.skip_empty, below, above
+        self.knots = np.linspace(0.0, ctx.t_n, _BOUND_SEGMENTS + 1)
+        # the coordinates before first[j] have z <= t_j
+        self.first = np.searchsorted(ctx.zs, self.knots, side="right")
+        # Every term, bound and base sums values of magnitude at most
+        # ``scale`` in all, and adding k such values in floating point errs by
+        # at most k eps/2 scale. A total adds at most three terms (each from
+        # prefix sums: n + 4 operations) to the base, so it errs by at most
+        # (n + 7) eps scale. A pruned split or pair adds at most two bounds
+        # (each the difference of two entries of at most n + m additions) to
+        # exact terms, and a row's bound a few operations more, so those err
+        # by at most 2 (n + m + 2) eps scale. The margin covers both and the
+        # window of a few eps scale in which the search counts totals as
+        # tied, with room to spare.
+        self.margin = 8.0 * (ctx.n + m + _BOUND_SEGMENTS) * np.finfo(float).eps * scale
+        self.hybrid = hybrid
+        if hybrid:
+            c = self.first[-1]
+            at_t_n = np.concatenate([below[:c], above(ctx.t_n, ctx.t_n, c)])
+            self.at_t_n, self.capped = self._cumulative(at_t_n), self._cumulative(ctx.capped)
+            # The capped values are >= 0. The search sums a group's in z order
+            # over at most n values, within n eps/2 of their sum T <= total;
+            # each cumulative entry is within (n + m) eps/2 total of its exact
+            # value, and their difference adds eps/2 total. So the search's sum
+            # is below the difference plus 2 (n + m + 1) eps total, and twice
+            # that absorbs the rounding of adding it. _hybrid_fires is monotone
+            # in the sum, so the rule fires where it fires at the larger sum.
+            self.slack = 4.0 * (ctx.n + m + 1) * np.finfo(float).eps * self.capped[-1]
+
+    def _cumulative(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.m + 2)
+        np.cumsum(np.bincount(self.cells, x, self.m + 1), out=out[1:])
+        return out
+
+    def _segments(self):
+        """Each segment's cumulative sums over the cells, with a leading
+        zero, in one buffer that the next segment overwrites."""
+        m, cells, below, first, knots = self.m, self.cells, self.below, self.first, self.knots
+        under = np.zeros(m + 1)  # each cell's ``below`` over the coordinates z <= t_j
+        cum = np.zeros(m + 2)
+        done = 0
+        for j in range(_BOUND_SEGMENTS):
+            a, b = first[j], first[j + 1]
+            under += np.bincount(cells[done:a], below[done:a], m + 1)
+            done = a
+            d = self.above(knots[j], knots[j + 1], a)
+            np.minimum(d[:b - a], below[a:b], out=d[:b - a])
+            np.cumsum(under + np.bincount(cells[a:], d, m + 1), out=cum[1:])
+            yield cum
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Every segment's cumulative sums: (segments, m + 2)."""
+        table = np.empty((_BOUND_SEGMENTS, self.m + 2))
+        for j, cum in enumerate(self._segments()):
+            table[j] = cum
+        return table
+
+    def __call__(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The bound of the group on cells lo[i]..hi[i], for each i. Segments
+        run in blocks of _CHUNK_ELEMENTS differences."""
+        v = np.full(lo.size, np.inf)
+        step = max(1, _CHUNK_ELEMENTS // max(lo.size, 1))
+        for j in range(0, _BOUND_SEGMENTS, step):
+            cum = self.table[j:j + step]
+            diff = cum[:, hi + 1]
+            diff -= cum[:, lo]
+            np.minimum(v, diff.min(axis=0), out=v)
+        return self._finish(v, lo, hi)
+
+    def _finish(self, v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The segment bounds ``v`` of the groups lo[i]..hi[i] with the hybrid
+        rule applied, and +inf where a cut that skips empty groups has the
+        group empty."""
+        size = self.count[hi + 1] - self.count[lo]
+        if self.hybrid:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fires = _hybrid_fires(self.capped[hi + 1] - self.capped[lo] + self.slack,
+                                      size, self.n)
+            v = np.where(fires, self.at_t_n[hi + 1] - self.at_t_n[lo], v)
+        if self.skip_empty:
+            v[size == 0] = np.inf
+        return v
+
+    def splits(self) -> np.ndarray:
+        """For each K = 2 split b = 0..m-1, the bound of cells 0..b plus
+        that of cells b+1..m."""
+        m = self.m
+        head, tail = np.full(m, np.inf), np.full(m, np.inf)
+        for cum in self._segments():
+            np.minimum(head, cum[1:m + 1], out=head)
+            np.minimum(tail, cum[m + 1] - cum[1:m + 1], out=tail)
+        b = np.arange(m)
+        head = self._finish(head, np.zeros(m, dtype=int), b)
+        return head + self._finish(tail, b + 1, np.full(m, m))
+
+    def rows(self, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """For each a = 1..m-1, a lower bound on first[a-1] + bound(a..b) +
+        last[b] over b = a..m-1, from the segment bounds alone: for each
+        segment, the least cum[b+1] + last[b] over b from a (or from the
+        first cell >= a holding a coordinate, when empty groups are
+        skipped), less cum[a]."""
+        m = self.m
+        start = np.arange(1, m)
+        if self.skip_empty:
+            held = np.append(np.flatnonzero(np.diff(self.count) > 0), m)
+            start = held[np.searchsorted(held, start)]
+        low = np.full(m - 1, np.inf)
+        suffix = np.full(m + 1, np.inf)
+        for cum in self.table:  # built here: the rows' pairs use it next
+            np.add(cum[1:m + 1], last[:m], out=suffix[:m])
+            np.minimum.accumulate(suffix[m - 1::-1], out=suffix[m - 1::-1])
+            np.minimum(low, suffix[start] - cum[1:m], out=low)
+        return first[:m - 1] + low
+
+
+def _loss_bound(cut: _Cut) -> _IntervalBound:
+    """The interval bound of a realized-loss cut. A coordinate loses theta^2
+    at thresholds t >= z and sigma^2 (v - t)^2 below z, with
+    v = sign(y) (y - theta) / sigma: on [t_j, t_{j+1}] at least sigma^2 d^2,
+    d the distance from v to the segment."""
+    ctx = cut.ctx
     theta2, err2, sc, s2 = ctx.loss_columns
     v = sc / s2
-    knots = np.linspace(0.0, ctx.t_n, _BOUND_SEGMENTS + 1)
-    # the coordinates before first[j] have z <= t_j
-    first = np.searchsorted(ctx.zs, knots, side="right")
-    below = np.zeros(m + 1)  # each cell's theta^2 over those coordinates
-    low1, low2 = np.full(m, np.inf), np.full(m, np.inf)
-    done = 0
-    for j in range(_BOUND_SEGMENTS):
-        a, b = first[j], first[j + 1]
-        below += np.bincount(cells[done:a], theta2[done:a], m + 1)
-        done = a
-        d = np.maximum(knots[j] - v[a:], v[a:] - knots[j + 1])
+
+    def above(lo: float, hi: float, i: int) -> np.ndarray:
+        d = np.maximum(lo - v[i:], v[i:] - hi)
         np.maximum(d, 0.0, out=d)
         d *= d
-        d *= s2[a:]
-        np.minimum(d[:b - a], theta2[a:b], out=d[:b - a])
-        h = below + np.bincount(cells[a:], d, m + 1)
-        np.minimum(low1, np.cumsum(h)[:m], out=low1)
-        np.minimum(low2, np.cumsum(h[::-1])[-2::-1], out=low2)
-    lower = low1 + low2
-    if cut.skip_empty:
-        inner = cut.count[1:m + 1]
-        lower[(inner == 0) | (inner == cut.count[-1])] = np.inf
-    # A coordinate's loss on [0, t_n] is at most theta^2 + (|y - theta| +
-    # sigma t_n)^2 <= theta^2 + 2 (y - theta)^2 + 2 sigma^2 t_n^2, so every
-    # group term and bound sums terms of magnitude at most ``scale`` in all.
-    # Adding k such terms in floating point errs by at most (k - 1) eps scale,
-    # and a term takes at most n additions (prefix sums), a bound at most
-    # n + m + c; the margin covers both errors and the window in which the
-    # search counts totals as tied, with room to spare.
+        d *= s2[i:]
+        return d
+
+    # a coordinate's loss on [0, t_n] is at most theta^2 + (|y - theta| +
+    # sigma t_n)^2 <= theta^2 + 2 (y - theta)^2 + 2 sigma^2 t_n^2
     scale = theta2.sum() + 2.0 * err2.sum() + 2.0 * ctx.t_n**2 * s2.sum()
-    margin = 8.0 * (ctx.n + m + _BOUND_SEGMENTS) * np.finfo(float).eps * scale
-    return lower, margin
+    return _IntervalBound(cut, theta2, above, scale)
+
+
+def _sure_bound(cut: _Cut, hybrid: bool) -> _IntervalBound:
+    """The interval bound of a SURE cut. A coordinate's term is
+    s2 (z^2 - 2) at thresholds t >= z and s2 t^2 below z: on [t_j, t_{j+1}]
+    at least s2 t_j^2."""
+    ctx = cut.ctx
+
+    def above(lo: float, hi: float, i: int) -> np.ndarray:
+        return ctx.s2s[i:] * (lo * lo)
+
+    # a coordinate's term is at most s2 (t_n^2 + 2) in magnitude, and the
+    # base is the sum of s2
+    scale = (ctx.t_n**2 + 3.0) * ctx.s2_total
+    return _IntervalBound(cut, ctx.s2z2 - 2.0 * ctx.s2s, above, scale, hybrid)
 
 
 def _within(ctx: _SortedBatch, cells: np.ndarray, lo: int, hi: int) -> tuple:
@@ -445,8 +590,10 @@ class _Cut:
     of every first group (cells 0..b, b = 0..m) and every last group (cells
     a..m, a = 1..m), each computed on first use. ``first`` fits the first
     group and ``rest`` the others; with ``skip_empty`` an empty group's term
-    is +inf. ``bound``, when given, maps the cut to the (lower, margin) of
-    ``_loss_bound``, with which ``_best`` prunes a K = 2 search."""
+    is +inf. ``bound``, when given, maps the cut to its ``_IntervalBound``,
+    with which ``_pruned`` prunes a K = 2 search and ``_pruned_middle`` the
+    middle groups of a search whose largest K is 3. ``middle`` holds the
+    first cells a of the middle groups a search visits."""
 
     def __init__(self, ctx: _SortedBatch, grid: np.ndarray, first, rest, base: float,
                  skip_empty: bool = True, bound=None):
@@ -460,6 +607,7 @@ class _Cut:
         self.bound = bound
         self.cells = np.searchsorted(grid, ctx.side, side="left")
         self.count = np.concatenate([[0], np.cumsum(np.bincount(self.cells, minlength=m + 1))])
+        self.middle = range(1, m)
 
     @functools.cached_property
     def head(self) -> tuple:
@@ -578,8 +726,11 @@ def _search(cut: _Cut, ks) -> dict:
     least value (forward pass), and from the largest sum that still reaches
     it each state gets the largest partial sum that can (backward pass). The
     greedy pass then takes at each step the smallest breakpoint within that
-    bound. Middle groups exist from K = 3 on; their terms are computed again
-    in each pass rather than held.
+    bound. Middle groups exist from K = 3 on. Each pass visits the rows of
+    ``cut.middle`` only (every row of a full cut), so a row whose terms are
+    all +inf, which changes no partial sum and no limit, may be left out.
+    A full cut computes a row's terms again in each pass rather than hold
+    them; ``_pruned_middle`` holds the few it keeps.
     """
     m, n, base = cut.m, cut.ctx.n, cut.base
     ks = [k for k in ks if k <= m + 1]
@@ -588,7 +739,7 @@ def _search(cut: _Cut, ks) -> dict:
     kmax = max(ks, default=1)
     # part[k][b]: least sum of base and k groups covering cells 0..b
     part = [None, base + head_v[:m]] + [np.full(m, np.inf) for _ in range(2, kmax)]
-    for a in range(1, m if kmax > 2 else 0):
+    for a in cut.middle if kmax > 2 else ():
         row = cut.row(a)[1]
         for k in range(2, kmax):
             np.minimum(part[k][a:], part[k - 1][a - 1] + row, out=part[k][a:])
@@ -604,7 +755,7 @@ def _search(cut: _Cut, ks) -> dict:
         if k > 1:
             limit[k] = ([None] + [np.full(m, -np.inf) for _ in range(1, k - 1)]
                         + [_largest_addend(tail_v, _largest_total(best[k], n))])
-    for a in range(m - 1 if max(limit, default=0) > 2 else 0, 0, -1):
+    for a in reversed(cut.middle) if max(limit, default=0) > 2 else ():
         row = cut.row(a)[1]
         for k, lim in limit.items():
             for g in range(1, k - 1):
@@ -638,8 +789,10 @@ def _pruned(cut: _Cut) -> _Cut:
     bit for bit, what it returns on every split's terms.
     """
     m = cut.m
-    lower, margin = cut.bound(cut)
+    bound = cut.bound(cut)
+    lower, margin = bound.splits(), bound.margin
     lower += cut.base
+    del bound  # its table is not needed while scoring
     head_t, head_v = np.zeros(m + 1), np.full(m + 1, np.inf)
     tail_t, tail_v = np.zeros(m), np.full(m, np.inf)
 
@@ -656,21 +809,92 @@ def _pruned(cut: _Cut) -> _Cut:
     return pruned
 
 
+def _pruned_middle(cut: _Cut) -> _Cut:
+    """A copy of ``cut`` for a search whose largest K is 3, whose middle
+    groups a..b hold exact terms only at the pairs (a, b) whose lower bound
+    can still reach the least K = 3 total, and +inf at the others; its
+    ``middle`` lists the rows a that keep a pair.
+
+    A K = 3 total is (base + head term of cells 0..a-1) + the term of cells
+    a..b + the tail term of cells b+1..m. The search computes every head and
+    tail term exactly, so a pair's bound takes them as they are and bounds
+    the middle term alone. Rows are first bounded as a whole
+    (``_IntervalBound.rows``) and then visited least bound first to find the
+    pair with the least bound, whose exact total is at least the least
+    total. As in ``_pruned``, a pair whose bound exceeds that total by more
+    than the rounding margin can neither reach the least total nor tie with
+    it, so the search returns, bit for bit, what it returns on every pair's
+    terms.
+    """
+    m = cut.m
+    bound = cut.bound(cut)
+    first, last = cut.base + cut.head[1][:m], cut.tail[1]
+    floor = bound.rows(first, last)
+
+    def row_bound(a: int) -> tuple:
+        b = np.arange(a, m)
+        return b, first[a - 1] + bound(np.full(b.size, a), b) + last[a:]
+
+    least, at = np.inf, None
+    for a in np.argsort(floor, kind="stable") + 1:
+        if not floor[a - 1] < least:
+            break
+        b, low = row_bound(a)
+        i = int(np.argmin(low))
+        if low[i] < least:
+            least, at = low[i], (a, b[i])
+    pruned = copy.copy(cut)
+    pruned.middle = []
+    if at is None:  # every pair empties a group
+        return pruned
+    _, v = cut.terms(cut.rest, np.array([at[0]]), np.array([at[1]]))
+    limit = first[at[0] - 1] + v[0] + last[at[1]] + bound.margin
+    lo, hi = [], []
+    for a in np.flatnonzero(floor <= limit) + 1:
+        b, low = row_bound(a)
+        b = b[low <= limit]
+        lo.append(np.full(b.size, a))
+        hi.append(b)
+    del bound  # its table is not needed while scoring
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    t, v = cut.terms(cut.rest, lo, hi)
+    starts = np.searchsorted(lo, np.arange(m + 1))
+
+    def row(a: int) -> tuple:
+        kept = slice(starts[a], starts[a + 1])
+        row_t, row_v = np.zeros(m - a), np.full(m - a, np.inf)
+        row_t[hi[kept] - a], row_v[hi[kept] - a] = t[kept], v[kept]
+        return row_t, row_v
+
+    pruned.row = row
+    pruned.middle = np.unique(lo).tolist()
+    return pruned
+
+
 def _best(cut: _Cut, k: int):
     """(value, tau, t, sizes) of the K-group minimizer on ``cut``, or None.
-    A K = 2 search on a cut with a bound scores only the splits it cannot
-    rule out."""
-    if k == 2 and cut.bound is not None:
-        cut = _pruned(cut)
+    A K = 2 or K = 3 search on a cut with a bound scores only the splits or
+    middle groups it cannot rule out."""
+    if cut.bound is not None and k in (2, 3):
+        cut = _pruned(cut) if k == 2 else _pruned_middle(cut)
     fit = _search(cut, [k]).get(k)
     return None if fit is None else (fit[0], *cut.fit(fit[1], fit[2]))
 
 
-def _sure_cut(batch: DataBatch, grid: np.ndarray, hybrid: bool) -> _Cut:
-    """The SURE terms of the groups on ``grid`` over ``batch.s``."""
+def _sure_cut(batch: DataBatch, grid: np.ndarray, hybrid: bool, k_max: int = 2) -> _Cut:
+    """The SURE terms of the groups on ``grid`` over ``batch.s``, for a
+    search whose largest K is ``k_max``.
+
+    Only K = 3 carries the bound, which prunes the middle groups. K >= 4
+    has no prune. A K = 2 prune of the splits is as sound as the realized
+    loss's, and about doubles Monte Carlo throughput, but completing more
+    benchmark cycles raises the benchmark's peak memory beyond its bound
+    while the benchmark holds every cycle's outputs (ROADMAP item 6).
+    """
     ctx = _SortedBatch(batch, batch.s)
     term = functools.partial(_sure_group, hybrid=hybrid)
-    return _Cut(ctx, grid, term, term, ctx.s2_total)
+    bound = functools.partial(_sure_bound, hybrid=hybrid) if k_max == 3 else None
+    return _Cut(ctx, grid, term, term, ctx.s2_total, bound=bound)
 
 
 def _fit_grid(s: np.ndarray, k: int, mn_factor: float) -> np.ndarray:
@@ -699,7 +923,8 @@ def _scored_fit(batch: DataBatch, hp: HyperParams, sizes: np.ndarray, name: str)
 
 
 def _fit_sure(batch: DataBatch, cfg: SearchConfig, name: str) -> FitResult:
-    best = _best(_sure_cut(batch, _fit_grid(batch.s, cfg.k, cfg.mn_factor), cfg.hybrid), cfg.k)
+    grid = _fit_grid(batch.s, cfg.k, cfg.mn_factor)
+    best = _best(_sure_cut(batch, grid, cfg.hybrid, cfg.k), cfg.k)
     if best is None:
         raise _infeasible(cfg.k)
     _, tau, t, sizes = best
@@ -770,8 +995,8 @@ def select_k(
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     _check_mn_factor(mn_factor)
-    cut = _sure_cut(batch, _fit_grid(batch.s, k_max, mn_factor), hybrid)
-    fits = _search(cut, range(1, k_max + 1))
+    cut = _sure_cut(batch, _fit_grid(batch.s, k_max, mn_factor), hybrid, k_max)
+    fits = _search(_pruned_middle(cut) if k_max == 3 else cut, range(1, k_max + 1))
     sures = []
     for k in range(1, k_max + 1):
         if k not in fits:

@@ -249,6 +249,22 @@ def test_non_finite_mn_factor_exits_naming_it(toy_csv, tmp_path, capsys, command
     assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv"]
 
 
+@pytest.mark.parametrize("value", ["1e15", "1e308"])
+def test_mn_factor_over_the_grid_limit_exits_naming_it(tmp_path, capsys, value):
+    # 1e15 asks for a 27.8 PiB grid; 1e308 * ln 50 overflows to inf
+    rng = np.random.default_rng(50)
+    path = tmp_path / "batch.csv"
+    write_batch_csv(path, [(f"c{i}", f"{y:.17g}", "1.0", f"{s:.17g}")
+                           for i, (y, s) in enumerate(rng.normal(0, 1, (50, 2)))])
+    argv = ["estimate", "--input", str(path), "--output", str(tmp_path / "o.csv"),
+            "--report", str(tmp_path / "r.json"), "--mn-factor", value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: mn_factor {float(value)} asks for m = ")
+    assert "at most 1048576" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv"]
+
+
 class TestSweep:
     def test_reference_and_minimum_rows(self, toy_csv, tmp_path):
         est_out = tmp_path / "est.csv"

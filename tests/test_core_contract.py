@@ -12,7 +12,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from auxshrink import DataBatch, ScenarioSpec, apply_estimator, generate, partition, sure
+from auxshrink import (
+    DataBatch,
+    ScenarioSpec,
+    apply_estimator,
+    generate,
+    loss,
+    partition,
+    soft_estimate,
+    sure,
+)
 from auxshrink.sim import ESTIMATORS
 from auxshrink.tuner import SearchConfig
 
@@ -63,3 +72,23 @@ def test_signed_screen_is_three_groups():
     screened = np.abs(batch.s) <= tau[1]
     assert fr.group_sizes[1] == screened.sum()
     np.testing.assert_array_equal(fr.theta_hat[screened], 0.0)
+
+
+@pytest.mark.parametrize("args, message", [
+    (([np.nan, 1.0], [1.0, 1.0], [0.5, 0.5]), "y is not finite at index 0: nan"),
+    (([1.0, 2.0], [1.0, np.inf], 0.5), "sigma is not finite at index 1: inf"),
+    ((1.0, 1.0, -np.inf), "t is not finite: -inf"),
+    (([[1.0, 2.0]], 1.0, [[0.5, np.nan]]), r"t is not finite at index \(0, 1\): nan"),
+])
+def test_soft_estimate_rejects_non_finite_input(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        soft_estimate(*args)
+
+
+@pytest.mark.parametrize("theta, theta_hat, message", [
+    ([np.nan], [0.0], "theta is not finite at index 0: nan"),
+    ([0.0, 1.0], [0.0, -np.inf], "theta_hat is not finite at index 1: -inf"),
+])
+def test_loss_rejects_non_finite_input(theta, theta_hat, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        loss(theta, theta_hat)

@@ -86,7 +86,7 @@ DESIGNED["zero-middle"] = zero_middle_batch
 
 
 def assert_bound_holds(cut):
-    lower, _ = _loss_bound(cut)
+    lower = _loss_bound(cut).splits()
     exact = cut.head[1][:cut.m] + cut.tail[1]
     assert np.all(lower <= exact)
     # the bound is not vacuous: where both groups are nonempty it is finite
@@ -117,7 +117,8 @@ def test_pruned_search_equals_the_full_search(family, n, seed):
 
 def test_bound_is_within_its_margin_where_every_split_ties():
     for cut in loss_cuts(*zero_y_batch()):
-        lower, margin = _loss_bound(cut)
+        bound = _loss_bound(cut)
+        lower, margin = bound.splits(), bound.margin
         exact = cut.head[1][:cut.m] + cut.tail[1]
         assert np.all(lower <= exact + margin)
 

@@ -65,6 +65,12 @@ class TestTauGrid:
         with pytest.raises(ValueError, match="^mn_factor must be finite and positive"):
             SearchConfig(mn_factor=mn_factor)
 
+    def test_grid_over_the_limit_is_rejected(self):
+        # n=2: m = ceil(mn_factor ln 2), one point over the 2^20 limit
+        with pytest.raises(ValueError, match=r"^mn_factor .* = 1\.049e\+06 grid points; "
+                                             r"at most 1048576 are allowed$"):
+            tau_grid([0.0, 1.0], (2**20 + 1) / np.log(2))
+
     def test_degenerate_sequence_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             tau_grid(np.ones(10), 50.0)
