@@ -100,11 +100,13 @@ def _commit(files) -> None:
 
 def read_batch_csv(path: str) -> tuple[DataBatch, list]:
     """Parse the input CSV into a batch; returns (batch, ids)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would join the first name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file")
-        cols = [c.strip() for c in reader.fieldnames]
+        # cells are read under the stripped names, so "id, y, s" reads as "id,y,s"
+        cols = reader.fieldnames = [c.strip() for c in reader.fieldnames]
         for required in ("id", "y", "s"):
             if required not in cols:
                 raise ValueError(f"{path}: missing required column {required!r}")

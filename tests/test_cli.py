@@ -60,6 +60,25 @@ class TestReadBatchCsv:
         with pytest.raises(ValueError, match="missing required column"):
             read_batch_csv(path)
 
+    @staticmethod
+    def _same_batch(got, want):
+        (a, a_ids), (b, b_ids) = got, want
+        assert a_ids == b_ids
+        for name in ("y", "sigma", "s"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_spaces_around_header_names(self, tmp_path):
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("id,y,s\na,1.5,0.2\nb,-0.3,1.1\n")
+        spaced.write_text("id, y, s\na,1.5,0.2\nb,-0.3,1.1\n")
+        self._same_batch(read_batch_csv(spaced), read_batch_csv(plain))
+
+    def test_leading_byte_order_mark(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_batch_csv(plain, [("a", "1.5", "1.0", "0.2"), ("b", "-0.3", "2.0", "1.1")])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        self._same_batch(read_batch_csv(marked), read_batch_csv(plain))
+
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "b.csv"
         write_batch_csv(path, [("a", "1.0", "x")], header=("id", "y", "s"))
