@@ -107,6 +107,9 @@ def read_batch_csv(path: str) -> tuple[DataBatch, list]:
             raise ValueError(f"{path}: empty file")
         # cells are read under the stripped names, so "id, y, s" reads as "id,y,s"
         cols = reader.fieldnames = [c.strip() for c in reader.fieldnames]
+        for i, name in enumerate(cols):
+            if name in cols[:i]:
+                raise ValueError(f"{path}: column {name!r} appears more than once")
         for required in ("id", "y", "s"):
             if required not in cols:
                 raise ValueError(f"{path}: missing required column {required!r}")
@@ -114,6 +117,9 @@ def read_batch_csv(path: str) -> tuple[DataBatch, list]:
         optional = {"sigma": [], "xi": [], "theta": []}
         first_empty = {}
         for lineno, row in enumerate(reader, start=2):
+            if None in row:  # DictReader files cells beyond the header under None
+                raise ValueError(f"{path}:{lineno}: row has {len(cols) + len(row[None])} "
+                                 f"cells, the header {len(cols)}")
             try:
                 ids.append(row["id"])
                 ys.append(float(row["y"]))

@@ -33,6 +33,7 @@ from .tuner import (
     _loss_bound,
     _min_loss_threshold,
     _scored_fit,
+    _screen_bound,
     _screen_group,
     _SortedBatch,
     _sure_group,
@@ -60,19 +61,28 @@ def fit_auxscr(batch: DataBatch, mn_factor: float = 50.0) -> FitResult:
     given, which splits on S itself. When some S_i < 0, the screen
     -tau <= S <= tau is the middle of three groups:
     tau = [nextafter(-tau, -inf), tau] and t = [t_keep, t_screen, t_keep].
+
+    The search scores exactly only the cutoffs whose lower bound
+    (``tuner._screen_bound``) can still reach the least SURE, and returns
+    bit for bit what scoring every cutoff returns.
     """
-    abs_s = np.abs(batch.s)
-    grid = tau_grid(abs_s, mn_factor)
-    tau_cands = np.unique(np.concatenate([[0.0], grid, [float(abs_s.max())]]))
-    ctx = _SortedBatch(batch, abs_s)
-    cut = _Cut(ctx, tau_cands, _screen_group, functools.partial(_sure_group, hybrid=False),
-               ctx.s2_total, skip_empty=False)
-    _, tau, t, sizes = _best(cut, 2)
+    _, tau, t, sizes = _best(_screen_cut(batch, mn_factor), 2)
     if (batch.s < 0).any():
         tau = np.array([np.nextafter(-tau[0], -np.inf), tau[0]])
         t = t[[1, 0, 1]]
         sizes = partition(batch.s, tau).sizes
     return _scored_fit(batch, HyperParams(tau=tau, t=t), sizes, "aux-scr")
+
+
+def _screen_cut(batch: DataBatch, mn_factor: float = 50.0) -> _Cut:
+    """The screening terms of every cutoff on |S|, with the interval bound
+    that prunes their K = 2 search."""
+    abs_s = np.abs(batch.s)
+    grid = tau_grid(abs_s, mn_factor)
+    tau_cands = np.unique(np.concatenate([[0.0], grid, [float(abs_s.max())]]))
+    ctx = _SortedBatch(batch, abs_s)
+    return _Cut(ctx, tau_cands, _screen_group, functools.partial(_sure_group, hybrid=False),
+                ctx.s2_total, skip_empty=False, bound=_screen_bound)
 
 
 def _loss_cut(batch: DataBatch, side: np.ndarray, grid: np.ndarray) -> _Cut:

@@ -16,20 +16,21 @@ be and still reach it, and a greedy pass then picks the lexicographically
 smallest breakpoints. Its cost grows with the square of the number of
 nonempty cells, not with the C(m, K-1) breakpoint vectors.
 
-Two searches first rule groups out, as pruning does in optimal partitioning
+Three searches first rule groups out, as pruning does in optimal partitioning
 (Killick et al. 2012, "Optimal detection of changepoints with a linear
 computational cost"). ``_IntervalBound`` bounds from below the least term of
 the group on any run of cells, from per-coordinate minima on a fixed coarse
 grid of thresholds. The K = 2 searches of the realized-loss fits
-(``fit_oracle_loss``, ``fit_oracle_side``) score exactly only the splits
-whose bound can still reach the least total (``_pruned``). A search whose
-largest K is 3 (``select_k(k_max=3)``, ``fit_asus`` and ``fit_oracle_loss``
-at K = 3) scores exactly only the middle groups whose bound can
-(``_pruned_middle``). Each takes the exact total of the split or pair with
-the least bound; the others bound above it by more than a rounding margin,
-so they cannot reach the minimum or tie with it, and the fit is bit for bit
-that of scoring every group. The K = 2 SURE and screening searches, and the
-middle groups of K >= 4, are not pruned.
+(``fit_oracle_loss``, ``fit_oracle_side``) and of the screening baseline
+(``fit_auxscr``, whose screened group's bound is its exact per-cell sum)
+score exactly only the splits whose bound can still reach the least total
+(``_pruned``). A search whose largest K is 3 (``select_k(k_max=3)``,
+``fit_asus`` and ``fit_oracle_loss`` at K = 3) scores exactly only the
+middle groups whose bound can (``_pruned_middle``). Each takes the exact
+total of the split or pair with the least bound; the others bound above it
+by more than a rounding margin, so they cannot reach the minimum or tie with
+it, and the fit is bit for bit that of scoring every group. The K = 2 SURE
+search and the middle groups of K >= 4 are not pruned.
 
 Every search scores each distinct group once. A group's term depends on its
 coordinates alone, so groups that differ only by empty cells share one term.
@@ -415,13 +416,19 @@ class _IntervalBound:
     hybrid rule has its exact term at t_n as its bound. "Surely" means with
     the slack derived below added to the sum; a group within it keeps the
     segment bound, which holds whether the rule fires or not.
+
+    ``head_column``, when given, is a column whose sum over a K = 2 split's first
+    group is that group's term at every threshold (the screened group's);
+    ``splits`` then bounds the first group by the column's cumulative sum
+    over the cells, with no segments.
     """
 
     def __init__(self, cut: _Cut, below: np.ndarray, above, scale: float,
-                 hybrid: bool = False):
+                 hybrid: bool = False, head_column: np.ndarray | None = None):
         ctx, m = cut.ctx, cut.m
         self.m, self.n, self.cells, self.count = m, ctx.n, cut.cells, cut.count
         self.skip_empty, self.below, self.above = cut.skip_empty, below, above
+        self.head_column = head_column
         self.knots = np.linspace(0.0, ctx.t_n, _BOUND_SEGMENTS + 1)
         # the coordinates before first[j] have z <= t_j
         self.first = np.searchsorted(ctx.zs, self.knots, side="right")
@@ -511,10 +518,14 @@ class _IntervalBound:
         m = self.m
         head, tail = np.full(m, np.inf), np.full(m, np.inf)
         for cum in self._segments():
-            np.minimum(head, cum[1:m + 1], out=head)
+            if self.head_column is None:
+                np.minimum(head, cum[1:m + 1], out=head)
             np.minimum(tail, cum[m + 1] - cum[1:m + 1], out=tail)
         b = np.arange(m)
-        head = self._finish(head, np.zeros(m, dtype=int), b)
+        if self.head_column is None:
+            head = self._finish(head, np.zeros(m, dtype=int), b)
+        else:
+            head = self._cumulative(self.head_column)[1:m + 1]
         return head + self._finish(tail, b + 1, np.full(m, m))
 
     def rows(self, first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -559,11 +570,13 @@ def _loss_bound(cut: _Cut) -> _IntervalBound:
     return _IntervalBound(cut, theta2, above, scale)
 
 
-def _sure_bound(cut: _Cut, hybrid: bool) -> _IntervalBound:
+def _sure_bound(cut: _Cut, hybrid: bool, screen: bool = False) -> _IntervalBound:
     """The interval bound of a SURE cut. A coordinate's term is
     s2 (z^2 - 2) at thresholds t >= z and s2 t^2 below z: on [t_j, t_{j+1}]
-    at least s2 t_j^2."""
+    at least s2 t_j^2. With ``screen`` a K = 2 split's first group is
+    screened, its term s2 (z^2 - 2) at every threshold (``_screen_bound``)."""
     ctx = cut.ctx
+    below = ctx.s2z2 - 2.0 * ctx.s2s
 
     def above(lo: float, hi: float, i: int) -> np.ndarray:
         return ctx.s2s[i:] * (lo * lo)
@@ -571,7 +584,22 @@ def _sure_bound(cut: _Cut, hybrid: bool) -> _IntervalBound:
     # a coordinate's term is at most s2 (t_n^2 + 2) in magnitude, and the
     # base is the sum of s2
     scale = (ctx.t_n**2 + 3.0) * ctx.s2_total
-    return _IntervalBound(cut, ctx.s2z2 - 2.0 * ctx.s2s, above, scale, hybrid)
+    if not screen:
+        return _IntervalBound(cut, below, above, scale, hybrid)
+    # A screened coordinate's term s2 (z^2 - 2) is not limited by t_n. A
+    # total or bound sums kept terms, screened terms and the base, so its
+    # values have magnitude at most the scale above plus the sum of
+    # s2 |z^2 - 2| in all, and the margin's derivation holds with that scale.
+    scale += float(np.abs(below).sum())
+    return _IntervalBound(cut, below, above, scale, hybrid, head_column=below)
+
+
+def _screen_bound(cut: _Cut) -> _IntervalBound:
+    """The interval bound of a screening cut (``fit_auxscr``): the screened
+    first group is bounded by its exact term, that column's cumulative sum
+    over the cells, and the kept group by the SURE bound without the hybrid
+    rule."""
+    return _sure_bound(cut, hybrid=False, screen=True)
 
 
 def _within(ctx: _SortedBatch, cells: np.ndarray, lo: int, hi: int) -> tuple:

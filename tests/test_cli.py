@@ -79,6 +79,19 @@ class TestReadBatchCsv:
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         self._same_batch(read_batch_csv(marked), read_batch_csv(plain))
 
+    def test_repeated_column_name(self, tmp_path):
+        # "y" and " y" name the same column once stripped
+        path = tmp_path / "b.csv"
+        path.write_text("id,y,s, y\na,1.5,0.2,2.5\n")
+        with pytest.raises(ValueError, match="column 'y' appears more than once"):
+            read_batch_csv(path)
+
+    def test_row_longer_than_header(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text("id,y,s\na,1.5,0.2\nb,-0.3,1.1,7.0\n")
+        with pytest.raises(ValueError, match=r":3: row has 4 cells, the header 3"):
+            read_batch_csv(path)
+
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "b.csv"
         write_batch_csv(path, [("a", "1.0", "x")], header=("id", "y", "s"))

@@ -6,6 +6,10 @@ empty on skewed side sequences, so many of the groups a search asks
 count[lo] to count[hi + 1] - 1. These tests count the group rows that reach
 the term functions, and check that every group's term, shared or not, is bit
 for bit the term of that group scored alone.
+
+``fit_auxscr`` itself scores only the few splits its bound cannot rule out,
+which rarely share a group, so its cases score every split of its cut: the
+head and tail terms of the full screening search.
 """
 
 from __future__ import annotations
@@ -13,14 +17,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from auxshrink import ScenarioSpec, fit_auxscr, generate, sweep_tau
+from auxshrink import ScenarioSpec, generate, sweep_tau
 from auxshrink import tuner
+from auxshrink.estimators import _screen_cut
+from test_loss_bound import unbounded
 
 SPECS = {
     "one-sample-s1": ScenarioSpec("one-sample-s1", n=1000, m=200, aux_variant=2, seed=12),
     "two-sample-s2": ScenarioSpec("two-sample-s2", n=1000, seed=12),
 }
-FITS = {"sweep_tau": sweep_tau, "fit_auxscr": fit_auxscr}
+
+
+def screening_splits(batch):
+    """The head and tail terms of every split of fit_auxscr's cut."""
+    cut = unbounded(_screen_cut(batch))
+    return cut.head, cut.tail
+
+
+FITS = {"sweep_tau": sweep_tau, "fit_auxscr": screening_splits}
 
 
 @pytest.fixture
