@@ -170,9 +170,13 @@ def cmd_estimate(args) -> int:
         "mn_factor": _round12(args.mn_factor),
         "hybrid": bool(args.hybrid),
     }
+    # cells formatted from Python floats: the same bytes as from numpy
+    # scalars, without indexing an array per cell
+    columns = zip(ids, batch.y.tolist(), batch.sigma.tolist(), batch.s.tolist(),
+                  fr.theta_hat.tolist(), groups.tolist())
     estimates = _csv(["id", "y", "sigma", "s", "theta_hat", "group"], (
-        [ident, f"{batch.y[i]:.17g}", f"{batch.sigma[i]:.17g}", f"{batch.s[i]:.17g}",
-         f"{fr.theta_hat[i]:.17g}", int(groups[i])] for i, ident in enumerate(ids)))
+        [ident, f"{y:.17g}", f"{sigma:.17g}", f"{s:.17g}", f"{theta_hat:.17g}", group]
+        for ident, y, sigma, s, theta_hat, group in columns))
     _commit([(args.output, estimates), (args.report, json.dumps(report, indent=2) + "\n")])
     return 0
 
@@ -184,7 +188,8 @@ def cmd_sweep(args) -> int:
     ref = fit_sureshrink(batch, hybrid=args.hybrid)
     rows = [["reference", "", f"{ref.sure_value:.17g}", f"{ref.hp.t[0]:.17g}", ""]]
     rows += (["sweep", *(f"{v:.17g}" for v in point)] for point in zip(
-        curve.tau_values, curve.sure_values, curve.t1_values, curve.t2_values))
+        curve.tau_values.tolist(), curve.sure_values.tolist(), curve.t1_values.tolist(),
+        curve.t2_values.tolist()))
     _commit([(args.output, _csv(["kind", "tau", "sure", "t1", "t2"], rows))])
     return 0
 
@@ -193,7 +198,7 @@ def cmd_choose_k(args) -> int:
     batch, _ = read_batch_csv(args.input)
     sel = select_k(batch, args.kmax, mn_factor=args.mn_factor, hybrid=args.hybrid)
     rows = ([i, f"{sv:.17g}", int(i == sel.k_selected), int(i == sel.k_elbow)]
-            for i, sv in enumerate(sel.sure_values, start=1))
+            for i, sv in enumerate(sel.sure_values.tolist(), start=1))
     _commit([(args.output, _csv(["k", "sure", "selected", "elbow"], rows))])
     return 0
 
@@ -240,7 +245,7 @@ def cmd_simulate(args) -> int:
         hybrid=args.hybrid,
     )
     losses = ([r, nm, f"{lv:.17g}"] for nm, res in report.results.items()
-              for r, lv in enumerate(res.losses))
+              for r, lv in enumerate(res.losses.tolist()))
     _commit([
         (args.output, json.dumps(_round12(report.to_dict()), indent=2) + "\n"),
         (os.path.splitext(args.output)[0] + "_losses.csv",

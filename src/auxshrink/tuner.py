@@ -16,21 +16,22 @@ be and still reach it, and a greedy pass then picks the lexicographically
 smallest breakpoints. Its cost grows with the square of the number of
 nonempty cells, not with the C(m, K-1) breakpoint vectors.
 
-Three searches first rule groups out, as pruning does in optimal partitioning
-(Killick et al. 2012, "Optimal detection of changepoints with a linear
-computational cost"). ``_IntervalBound`` bounds from below the least term of
-the group on any run of cells, from per-coordinate minima on a fixed coarse
-grid of thresholds. The K = 2 searches of the realized-loss fits
-(``fit_oracle_loss``, ``fit_oracle_side``) and of the screening baseline
-(``fit_auxscr``, whose screened group's bound is its exact per-cell sum)
-score exactly only the splits whose bound can still reach the least total
-(``_pruned``). A search whose largest K is 3 (``select_k(k_max=3)``,
-``fit_asus`` and ``fit_oracle_loss`` at K = 3) scores exactly only the
-middle groups whose bound can (``_pruned_middle``). Each takes the exact
-total of the split or pair with the least bound; the others bound above it
-by more than a rounding margin, so they cannot reach the minimum or tie with
-it, and the fit is bit for bit that of scoring every group. The K = 2 SURE
-search and the middle groups of K >= 4 are not pruned.
+Searches whose largest K is 2 or 3 first rule groups out, as pruning does in
+optimal partitioning (Killick et al. 2012, "Optimal detection of changepoints
+with a linear computational cost"). ``_IntervalBound`` bounds from below the
+least term of the group on any run of cells, from per-coordinate minima on a
+fixed coarse grid of thresholds. ``_pruned`` bounds every split (K = 2) and
+every pair of breakpoints (K = 3) by the bounds of its head, middle and tail
+groups, takes the exact total of the one with the least bound, and scores
+exactly only the groups that a split or pair still within a rounding margin
+of that total needs; a K = 3 pair is bounded again with its exact head and
+tail before its middle group is scored. The others cannot reach the minimum
+or tie with it, so the fit is bit for bit that of scoring every group. The
+K = 2 searches of the realized-loss fits (``fit_oracle_loss``,
+``fit_oracle_side``) and of the screening baseline (``fit_auxscr``, whose
+screened group's bound is its exact per-cell sum), and the K = 3 searches
+(``select_k(k_max=3)``, ``fit_asus`` and ``fit_oracle_loss`` at K = 3) are
+pruned. The K = 2 SURE search and K >= 4 are not.
 
 Every search scores each distinct group once. A group's term depends on its
 coordinates alone, so groups that differ only by empty cells share one term.
@@ -408,9 +409,10 @@ class _IntervalBound:
     otherwise. Summed over a group these minima bound its term on the
     segment, and their least over segments bounds its least term. Each
     segment's sums are taken cumulatively over the cells, so a group's sum
-    is the difference of two entries. The K = 2 splits take them one
-    segment at a time, in O(m) memory; the rows of a K = 3 search and any
-    other intervals take the table of all segments, O(segments x m).
+    is the difference of two entries. The heads and tails of a K = 2
+    search alone take them one segment at a time, in O(m) memory; a K = 3
+    search and any other intervals take the table of all segments,
+    O(segments x m).
 
     With ``hybrid`` (SURE only) a group whose capped sum surely fires the
     hybrid rule has its exact term at t_n as its bound. "Surely" means with
@@ -419,7 +421,7 @@ class _IntervalBound:
 
     ``head_column``, when given, is a column whose sum over a K = 2 split's first
     group is that group's term at every threshold (the screened group's);
-    ``splits`` then bounds the first group by the column's cumulative sum
+    ``ends`` then bounds the first group by the column's cumulative sum
     over the cells, with no segments.
     """
 
@@ -436,12 +438,14 @@ class _IntervalBound:
         # ``scale`` in all, and adding k such values in floating point errs by
         # at most k eps/2 scale. A total adds at most three terms (each from
         # prefix sums: n + 4 operations) to the base, so it errs by at most
-        # (n + 7) eps scale. A pruned split or pair adds at most two bounds
-        # (each the difference of two entries of at most n + m additions) to
-        # exact terms, and a row's bound a few operations more, so those err
-        # by at most 2 (n + m + 2) eps scale. The margin covers both and the
-        # window of a few eps scale in which the search counts totals as
-        # tied, with room to spare.
+        # (n + 7) eps scale. A bound is the difference of two cumulative
+        # entries of at most n + m additions each, so it errs by at most
+        # (n + m + 1) eps scale. A pruned split or pair adds at most three
+        # bounds to the base (or one bound to exact terms), and a row's bound
+        # takes a few operations more, so those err by at most
+        # 3 (n + m + 2) eps scale. Both together are under 4 (n + m + 4) eps
+        # scale; the margin is twice that, which covers the window of a few
+        # eps scale in which the search counts totals as tied.
         self.margin = 8.0 * (ctx.n + m + _BOUND_SEGMENTS) * np.finfo(float).eps * scale
         self.hybrid = hybrid
         if hybrid:
@@ -512,12 +516,14 @@ class _IntervalBound:
             v[size == 0] = np.inf
         return v
 
-    def splits(self) -> np.ndarray:
-        """For each K = 2 split b = 0..m-1, the bound of cells 0..b plus
-        that of cells b+1..m."""
+    def ends(self, table: bool = False) -> tuple:
+        """(head, tail): for each split b = 0..m-1 the bound of cells 0..b and
+        that of cells b+1..m. With ``table`` they are read from the table of
+        all segments (built here), else taken one segment at a time in O(m)
+        memory."""
         m = self.m
         head, tail = np.full(m, np.inf), np.full(m, np.inf)
-        for cum in self._segments():
+        for cum in self.table if table else self._segments():
             if self.head_column is None:
                 np.minimum(head, cum[1:m + 1], out=head)
             np.minimum(tail, cum[m + 1] - cum[1:m + 1], out=tail)
@@ -526,7 +532,15 @@ class _IntervalBound:
             head = self._finish(head, np.zeros(m, dtype=int), b)
         else:
             head = self._cumulative(self.head_column)[1:m + 1]
-        return head + self._finish(tail, b + 1, np.full(m, m))
+        return head, self._finish(tail, b + 1, np.full(m, m))
+
+    def row(self, a: int) -> np.ndarray:
+        """The bound of the groups a..b, b = a..m-1: ``__call__``'s
+        differences, taken from slices of the table rather than gathers, so
+        bit for bit its values."""
+        m, table = self.m, self.table
+        v = np.min(table[:, a + 1:m + 1] - table[:, a, None], axis=0)
+        return self._finish(v, np.full(m - a, a), np.arange(a, m))
 
     def rows(self, first: np.ndarray, last: np.ndarray) -> np.ndarray:
         """For each a = 1..m-1, a lower bound on first[a-1] + bound(a..b) +
@@ -628,9 +642,9 @@ class _Cut:
     a..m, a = 1..m), each computed on first use. ``first`` fits the first
     group and ``rest`` the others; with ``skip_empty`` an empty group's term
     is +inf. ``bound``, when given, maps the cut to its ``_IntervalBound``,
-    with which ``_pruned`` prunes a K = 2 search and ``_pruned_middle`` the
-    middle groups of a search whose largest K is 3. ``middle`` holds the
-    first cells a of the middle groups a search visits."""
+    with which ``_pruned`` prunes a search whose largest K is 2 or 3.
+    ``middle`` holds the first cells a of the middle groups a search
+    visits."""
 
     def __init__(self, ctx: _SortedBatch, grid: np.ndarray, first, rest, base: float,
                  skip_empty: bool = True, bound=None):
@@ -778,7 +792,7 @@ def _search(cut: _Cut, ks) -> dict:
     ``cut.middle`` only (every row of a full cut), so a row whose terms are
     all +inf, which changes no partial sum and no limit, may be left out.
     A full cut computes a row's terms again in each pass rather than hold
-    them; ``_pruned_middle`` holds the few it keeps.
+    them; ``_pruned`` holds the few it keeps.
     """
     m, n, base = cut.m, cut.ctx.n, cut.base
     ks = [k for k in ks if k <= m + 1]
@@ -826,85 +840,84 @@ def _search(cut: _Cut, ks) -> dict:
     return fits
 
 
-def _pruned(cut: _Cut) -> _Cut:
-    """A copy of ``cut`` for the K = 2 search whose head and tail hold exact
-    terms only at the splits whose lower bound can still reach the least
-    total, and +inf (as for a split that empties a group) at the others.
-
-    The least total is at most that of the split with the least bound. A
-    split whose bound exceeds that by more than the rounding margin can
-    neither reach the least total nor tie with it, so the search returns,
-    bit for bit, what it returns on every split's terms.
-    """
-    m = cut.m
-    bound = cut.bound(cut)
-    lower, margin = bound.splits(), bound.margin
-    lower += cut.base
-    del bound  # its table is not needed while scoring
-    head_t, head_v = np.zeros(m + 1), np.full(m + 1, np.inf)
-    tail_t, tail_v = np.zeros(m), np.full(m, np.inf)
-
-    def score(b: np.ndarray) -> None:
-        head_t[b], head_v[b] = cut.terms(cut.first, np.zeros(b.size, dtype=int), b)
-        tail_t[b], tail_v[b] = cut.terms(cut.rest, b + 1, np.full(b.size, m))
-
-    probe = np.argsort(lower, kind="stable")[:1]
-    score(probe)
-    upper = np.min(cut.base + head_v[probe] + tail_v[probe], initial=np.inf)
-    score(np.setdiff1d(np.flatnonzero(lower <= upper + margin), probe))
-    pruned = copy.copy(cut)
-    pruned.head, pruned.tail = (head_t, head_v), (tail_t, tail_v)
-    return pruned
-
-
-def _pruned_middle(cut: _Cut) -> _Cut:
-    """A copy of ``cut`` for a search whose largest K is 3, whose middle
-    groups a..b hold exact terms only at the pairs (a, b) whose lower bound
-    can still reach the least K = 3 total, and +inf at the others; its
+def _pruned(cut: _Cut, ks) -> _Cut:
+    """A copy of ``cut`` for the search of the K in ``ks`` (each at most 3)
+    that holds exact terms only where K = 1, a split (K = 2) or a pair of
+    breakpoints (K = 3) whose lower bound can still reach that K's least
+    total needs them, and +inf (as for a group that is empty) elsewhere; its
     ``middle`` lists the rows a that keep a pair.
 
     A K = 3 total is (base + head term of cells 0..a-1) + the term of cells
-    a..b + the tail term of cells b+1..m. The search computes every head and
-    tail term exactly, so a pair's bound takes them as they are and bounds
-    the middle term alone. Rows are first bounded as a whole
-    (``_IntervalBound.rows``) and then visited least bound first to find the
-    pair with the least bound, whose exact total is at least the least
-    total. As in ``_pruned``, a pair whose bound exceeds that total by more
-    than the rounding margin can neither reach the least total nor tie with
-    it, so the search returns, bit for bit, what it returns on every pair's
-    terms.
+    a..b + the tail term of cells b+1..m, and a K = 2 total has no middle
+    term. For each K the least total is at most the exact total of the split
+    or pair with the least bound. One whose bound exceeds that by more than
+    the rounding margin can neither reach the least total nor tie with it,
+    so the search returns, bit for bit, what it returns on every group's
+    terms. K = 3 rows are first bounded as a whole (``_IntervalBound.rows``)
+    and then visited least bound first to find the pair with the least
+    bound. The pairs within the margin have their head and tail scored, and
+    only those still within it with these exact terms have their middle
+    group scored. A search of K = 2 alone takes its bounds one segment at a
+    time, with no table.
     """
-    m = cut.m
+    m, base = cut.m, cut.base
     bound = cut.bound(cut)
-    first, last = cut.base + cut.head[1][:m], cut.tail[1]
-    floor = bound.rows(first, last)
+    head, tail = bound.ends(table=3 in ks)
+    head_t, head_v = np.zeros(m + 1), np.full(m + 1, np.inf)
+    tail_t, tail_v = np.zeros(m), np.full(m, np.inf)
 
-    def row_bound(a: int) -> tuple:
-        b = np.arange(a, m)
-        return b, first[a - 1] + bound(np.full(b.size, a), b) + last[a:]
+    def score(heads: np.ndarray, tails: np.ndarray) -> None:
+        """Exact terms of the groups 0..b, b in ``heads``, and b+1..m, b in
+        ``tails``."""
+        head_t[heads], head_v[heads] = cut.terms(cut.first, np.zeros(heads.size, dtype=int), heads)
+        tail_t[tails], tail_v[tails] = cut.terms(cut.rest, tails + 1, np.full(tails.size, m))
 
-    least, at = np.inf, None
-    for a in np.argsort(floor, kind="stable") + 1:
-        if not floor[a - 1] < least:
-            break
-        b, low = row_bound(a)
-        i = int(np.argmin(low))
-        if low[i] < least:
-            least, at = low[i], (a, b[i])
     pruned = copy.copy(cut)
-    pruned.middle = []
-    if at is None:  # every pair empties a group
-        return pruned
-    _, v = cut.terms(cut.rest, np.array([at[0]]), np.array([at[1]]))
-    limit = first[at[0] - 1] + v[0] + last[at[1]] + bound.margin
-    lo, hi = [], []
-    for a in np.flatnonzero(floor <= limit) + 1:
-        b, low = row_bound(a)
-        b = b[low <= limit]
-        lo.append(np.full(b.size, a))
-        hi.append(b)
+    pruned.head, pruned.tail, pruned.middle = (head_t, head_v), (tail_t, tail_v), []
+    none = np.empty(0, dtype=int)
+    # the split and the pair (a, b) with the least bound
+    lower = head + tail
+    lower += base
+    split = np.argsort(lower, kind="stable")[:1] if 2 in ks else none
+    pair = none, none
+    if 3 in ks:
+        first = base + head
+        floor = bound.rows(first, tail)
+        least = np.inf
+        for a in np.argsort(floor, kind="stable") + 1:
+            if not floor[a - 1] < least:
+                break
+            low = first[a - 1] + bound.row(a) + tail[a:]
+            i = int(np.argmin(low))
+            if low[i] < least:
+                least, pair = low[i], (np.array([a]), np.array([a + i]))
+    heads, tails = np.concatenate([split, pair[0] - 1]), np.concatenate([split, pair[1]])
+    score(heads, tails)
+    # their exact totals bound the least totals from above
+    kept = lo = hi = mid = none
+    if split.size:
+        upper = base + head_v[split[0]] + tail_v[split[0]]
+        kept = np.flatnonzero(lower <= upper + bound.margin)
+    if pair[0].size:
+        a, b = pair[0][0], pair[1][0]
+        limit = base + head_v[a - 1] + cut.terms(cut.rest, *pair)[1][0] + tail_v[b]
+        limit += bound.margin
+        lo, hi, mid = [none], [none], [none]
+        for a in np.flatnonzero(floor <= limit) + 1:
+            low = bound.row(a)
+            b = np.flatnonzero(first[a - 1] + low + tail[a:] <= limit)
+            lo.append(np.full(b.size, a))
+            hi.append(b + a)
+            mid.append(low[b])
+        lo, hi, mid = np.concatenate(lo), np.concatenate(hi), np.concatenate(mid)
     del bound  # its table is not needed while scoring
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    score(np.setdiff1d(np.concatenate([[m] if 1 in ks else none, kept, lo - 1]), heads),
+          np.setdiff1d(np.concatenate([kept, hi]), tails))
+    if not lo.size:
+        return pruned
+    # the pairs still within the limit with their exact heads and tails
+    kept = base + head_v[lo - 1] + mid + tail_v[hi] <= limit
+    lo, hi = lo[kept], hi[kept]
     t, v = cut.terms(cut.rest, lo, hi)
     starts = np.searchsorted(lo, np.arange(m + 1))
 
@@ -921,10 +934,10 @@ def _pruned_middle(cut: _Cut) -> _Cut:
 
 def _best(cut: _Cut, k: int):
     """(value, tau, t, sizes) of the K-group minimizer on ``cut``, or None.
-    A K = 2 or K = 3 search on a cut with a bound scores only the splits or
-    middle groups it cannot rule out."""
+    A K = 2 or K = 3 search on a cut with a bound scores exactly only the
+    groups of the splits or pairs it cannot rule out (``_pruned``)."""
     if cut.bound is not None and k in (2, 3):
-        cut = _pruned(cut) if k == 2 else _pruned_middle(cut)
+        cut = _pruned(cut, [k])
     fit = _search(cut, [k]).get(k)
     return None if fit is None else (fit[0], *cut.fit(fit[1], fit[2]))
 
@@ -933,8 +946,10 @@ def _sure_cut(batch: DataBatch, grid: np.ndarray, hybrid: bool, k_max: int = 2) 
     """The SURE terms of the groups on ``grid`` over ``batch.s``, for a
     search whose largest K is ``k_max``.
 
-    Only K = 3 carries the bound, which prunes the middle groups. K >= 4
-    has no prune. A K = 2 prune of the splits is as sound as the realized
+    Only K = 3 carries the bound, with which ``_pruned`` scores exactly only
+    the head, middle and tail groups of the pairs it cannot rule out, and the
+    K = 1 and K = 2 fits ``select_k`` takes from the same cut. K >= 4 has no
+    prune. A K = 2 prune of the splits is as sound as the realized
     loss's, and about doubles Monte Carlo throughput, but completing more
     benchmark cycles raises the benchmark's peak memory beyond its bound
     while the benchmark holds every cycle's outputs (ROADMAP item 6).
@@ -1046,8 +1061,12 @@ def select_k(
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     _check_mn_factor(mn_factor)
-    cut = _sure_cut(batch, _fit_grid(batch.s, k_max, mn_factor), hybrid, k_max)
-    fits = _search(_pruned_middle(cut) if k_max == 3 else cut, range(1, k_max + 1))
+    grid = _fit_grid(batch.s, k_max, mn_factor)
+    if k_max > grid.size + 1:  # every K up to grid.size + 1 fits: no cell is empty
+        raise _infeasible(grid.size + 2)
+    cut = _sure_cut(batch, grid, hybrid, k_max)
+    ks = range(1, k_max + 1)
+    fits = _search(cut if cut.bound is None else _pruned(cut, ks), ks)
     sures = []
     for k in range(1, k_max + 1):
         if k not in fits:

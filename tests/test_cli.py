@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from auxshrink import HyperParams, ScenarioSpec, SearchConfig, fit_asus, generate, sure
+from auxshrink import tuner
 from auxshrink.cli import main, read_batch_csv
 
 
@@ -360,6 +361,18 @@ class TestChooseK:
             rows = {int(r["k"]): r for r in csv.DictReader(fh)}
         assert float(rows[2]["sure"]) < float(rows[1]["sure"])
         assert rows[2]["selected"] == "1"
+
+    def test_infeasible_kmax_fails_before_any_search(self, toy_csv, tmp_path, monkeypatch,
+                                                     capsys):
+        def no_search(*args):
+            raise AssertionError("choose-k searched an infeasible --kmax")
+
+        monkeypatch.setattr(tuner, "_search", no_search)
+        out = tmp_path / "k.csv"
+        assert main(["choose-k", "--input", str(toy_csv), "--output", str(out),
+                     "--kmax", "100000000"]) == 1
+        assert "no feasible breakpoint candidate for K=" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_kmax_four_at_default_density(self, tmp_path):
         # the README example: 1000 rows, grid of ceil(50 ln 1000) = 346 points

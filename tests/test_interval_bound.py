@@ -1,10 +1,9 @@
 """The interval lower bound and the pruned K = 3 search.
 
 `tuner._IntervalBound` bounds from below the least term of the group on
-cells a..b of a cut, for any a <= b. `_pruned` (K = 2 splits) and
-`_pruned_middle` (the middle groups of a search whose largest K is 3) score
-exactly only what it cannot rule out. Three things make that safe and worth
-it:
+cells a..b of a cut, for any a <= b. `_pruned` (a search whose largest K is
+2 or 3) scores exactly only the head, middle and tail groups of the splits
+and pairs it cannot rule out. Three things make that safe and worth it:
 
 * the bound is at most the exact `_Cut.terms` value of every interval, for
   SURE with and without the hybrid rule and for the realized loss. A group
@@ -14,9 +13,11 @@ it:
   bound's rounding margin, which is what the prunes add to every bound;
 * the pruned searches return what the full `_search` returns: the same
   value bit for bit, breakpoints, thresholds and group sizes, for
-  `select_k(k_max=3)`, `fit_asus` and `fit_oracle_loss` at K = 3;
-* on a two-sample-s2 batch of 1000 rows they score under 2% of the middle
-  groups, so a prune that silently scored every group would fail here.
+  `select_k(k_max=3)`, `fit_asus` and `fit_oracle_loss` at K = 3, and K = 2
+  on a SURE cut that carries the bound;
+* on a two-sample-s2 batch of 1000 rows `select_k(k_max=3)` scores under 2%
+  of the middle groups and under a quarter of the head and tail groups, so a
+  prune that silently scored every group would fail here.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from auxshrink.tuner import (
     _best,
     _fit_grid,
     _hybrid_fires,
-    _pruned_middle,
+    _pruned,
     _search,
     _sure_cut,
     tau_grid,
@@ -81,6 +82,15 @@ def assert_bound_holds(cut) -> None:
     # nonempty, and the margin is far below the terms' scale
     np.testing.assert_array_equal(np.isfinite(lower), np.isfinite(exact))
     assert bound.margin < 1e-6
+    # the prune's heads, tails and rows are these bounds, bit for bit,
+    # whether read from the table or taken one segment at a time
+    for got, want in zip(bound.ends(), bound.ends(table=True)):
+        np.testing.assert_array_equal(got, want)
+    b = np.arange(cut.m)
+    np.testing.assert_array_equal(bound.ends()[0], bound(np.zeros(cut.m, dtype=int), b))
+    np.testing.assert_array_equal(bound.ends()[1], bound(b + 1, np.full(cut.m, cut.m)))
+    for a in range(1, cut.m):
+        np.testing.assert_array_equal(bound.row(a), bound(np.full(cut.m - a, a), b[a:]))
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -170,12 +180,13 @@ def assert_pruned_searches_match(batch: DataBatch, mn_factor: float) -> None:
     for hybrid in (True, False):
         cut = _sure_cut(batch, grid, hybrid, k_max=3)
         # select_k(k_max=3): every K from one search on the pruned cut
-        got = _search(_pruned_middle(cut), range(1, 4))
+        got = _search(_pruned(cut, range(1, 4)), range(1, 4))
         want = _search(unbounded(cut), range(1, 4))
         assert got.keys() == want.keys()
         for k in want:
             assert_same((got[k][0], *cut.fit(*got[k][1:])), (want[k][0], *cut.fit(*want[k][1:])))
         assert_same(_best(cut, 3), _best(unbounded(cut), 3))
+        assert_same(_best(cut, 2), _best(unbounded(cut), 2))
         fit = fit_asus(batch, SearchConfig(k=3, mn_factor=mn_factor, hybrid=hybrid))
         want = _best(unbounded(cut), 3)
         np.testing.assert_array_equal(fit.hp.tau, want[1])
@@ -210,17 +221,20 @@ def test_pruned_k3_searches_equal_the_full_search_on_designed_batches(name):
 def test_select_k_is_pruned(monkeypatch):
     batch = generate(ScenarioSpec(family="two-sample-s2", n=1000, seed=29))
     m = _fit_grid(batch.s, 3, 50.0).size
-    scored = []
+    scored, ends = [], []
     terms = tuner._Cut.terms
 
     def counting(self, term, lo, hi, within=None):
         scored.append(np.count_nonzero((lo > 0) & (hi < self.m)))  # middle groups
+        ends.append(np.count_nonzero((lo == 0) | (hi == self.m)))  # heads and tails
         return terms(self, term, lo, hi, within)
 
     monkeypatch.setattr(tuner._Cut, "terms", counting)
     got = select_k(batch, 3)
     monkeypatch.undo()
     assert 0 < sum(scored) < 0.02 * m * (m - 1) / 2
+    # of the m + 1 heads and m tails
+    assert 0 < sum(ends) < (2 * m + 1) / 4
     cut = _sure_cut(batch, _fit_grid(batch.s, 3, 50.0), True)
     fits = _search(cut, range(1, 4))
     want = [sure(batch, HyperParams(*cut.fit(*fits[k][1:])[:2])) for k in (1, 2, 3)]

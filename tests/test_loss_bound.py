@@ -86,7 +86,7 @@ DESIGNED["zero-middle"] = zero_middle_batch
 
 
 def assert_bound_holds(cut):
-    lower = _loss_bound(cut).splits()
+    lower = np.add(*_loss_bound(cut).ends())  # the bound of each split
     exact = cut.head[1][:cut.m] + cut.tail[1]
     assert np.all(lower <= exact)
     # the bound is not vacuous: where both groups are nonempty it is finite
@@ -118,7 +118,7 @@ def test_pruned_search_equals_the_full_search(family, n, seed):
 def test_bound_is_within_its_margin_where_every_split_ties():
     for cut in loss_cuts(*zero_y_batch()):
         bound = _loss_bound(cut)
-        lower, margin = bound.splits(), bound.margin
+        lower, margin = np.add(*bound.ends()), bound.margin
         exact = cut.head[1][:cut.m] + cut.tail[1]
         assert np.all(lower <= exact + margin)
 

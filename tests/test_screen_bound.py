@@ -66,7 +66,7 @@ SCREEN_DESIGNED = {**DESIGNED, "zero-y": zero_y_batch, "screened-signals": scree
 
 def assert_bound_holds(cut) -> None:
     bound = cut.bound(cut)
-    lower = bound.splits()
+    lower = np.add(*bound.ends())  # the bound of each split
     full = unbounded(cut)
     exact = full.head[1][:cut.m] + full.tail[1]
     assert np.all(lower <= exact + bound.margin)

@@ -20,6 +20,7 @@ from auxshrink import (
     threshold_candidates,
     universal_threshold,
 )
+from auxshrink import tuner
 from auxshrink.tuner import _fit_grid
 from brute_force import _objective_values
 from test_search_equivalence import hybrid_bound_batch
@@ -312,6 +313,21 @@ class TestSelectK:
         b = generate(ScenarioSpec(family="two-sample-s2", n=300, seed=4))
         with pytest.raises(ValueError, match="K=32;"):
             select_k(b, 20000, mn_factor=8)
+
+    def test_kmax_beyond_the_grid_is_rejected_before_any_search(self, monkeypatch):
+        # 30 split points fit every K up to 31, so K = 32 is named before
+        # K = 1..31 are searched
+        b = generate(ScenarioSpec(family="two-sample-s2", n=300, seed=4))
+        assert _fit_grid(b.s, 2, 8).size == 30
+
+        def no_search(*args):
+            raise AssertionError("select_k searched an infeasible k_max")
+
+        monkeypatch.setattr(tuner, "_search", no_search)
+        with pytest.raises(ValueError, match=r"no feasible breakpoint candidate for "
+                                             r"K=32; the auxiliary sequence cannot "
+                                             r"support that many nonempty groups$"):
+            select_k(b, 10**8, mn_factor=8)
 
     def test_noninformative_aux_is_flat(self):
         rng = np.random.default_rng(53)
