@@ -269,7 +269,7 @@ def cmd_theory(args) -> int:
     elif sub == "gap":
         need(5)
         rp = RegimeParams(
-            alpha=vals[0], beta=vals[1], pi1=vals[2], sigma_bar_sq=vals[3], n=int(vals[4])
+            alpha=vals[0], beta=vals[1], pi1=vals[2], sigma_bar_sq=vals[3], n=vals[4]
         )
         print(f"{risk_gap_first_order(rp):.12g}")
     elif sub == "diagnostics":

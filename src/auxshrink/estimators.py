@@ -11,7 +11,6 @@ realized loss instead of SURE.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
@@ -26,18 +25,12 @@ from .core import (
 )
 from .tuner import (
     SearchConfig,
-    _best,
-    _Cut,
     _fit_grid,
     _infeasible,
-    _loss_bound,
-    _min_loss_threshold,
+    _loss_cut,
     _scored_fit,
-    _screen_bound,
-    _screen_group,
-    _SortedBatch,
-    _sure_group,
-    tau_grid,
+    _screen_cut,
+    _search,
 )
 
 __all__ = [
@@ -62,11 +55,12 @@ def fit_auxscr(batch: DataBatch, mn_factor: float = 50.0) -> FitResult:
     -tau <= S <= tau is the middle of three groups:
     tau = [nextafter(-tau, -inf), tau] and t = [t_keep, t_screen, t_keep].
 
-    The search scores exactly only the cutoffs whose lower bound
-    (``tuner._screen_bound``) can still reach the least SURE, and returns
-    bit for bit what scoring every cutoff returns.
+    The search scores exactly only the cutoffs whose lower bound (the
+    screening cut's, ``tuner._screen_cut``) can still reach the least SURE,
+    and returns bit for bit what scoring every cutoff returns. A row whose
+    sigma^2 z^2 overflows is rejected with a ValueError naming it.
     """
-    _, tau, t, sizes = _best(_screen_cut(batch, mn_factor), 2)
+    _, tau, t, sizes = _search(_screen_cut(batch, mn_factor), [2])[2]
     if (batch.s < 0).any():
         tau = np.array([np.nextafter(-tau[0], -np.inf), tau[0]])
         t = t[[1, 0, 1]]
@@ -74,37 +68,19 @@ def fit_auxscr(batch: DataBatch, mn_factor: float = 50.0) -> FitResult:
     return _scored_fit(batch, HyperParams(tau=tau, t=t), sizes, "aux-scr")
 
 
-def _screen_cut(batch: DataBatch, mn_factor: float = 50.0) -> _Cut:
-    """The screening terms of every cutoff on |S|, with the interval bound
-    that prunes their K = 2 search."""
-    abs_s = np.abs(batch.s)
-    grid = tau_grid(abs_s, mn_factor)
-    tau_cands = np.unique(np.concatenate([[0.0], grid, [float(abs_s.max())]]))
-    ctx = _SortedBatch(batch, abs_s)
-    return _Cut(ctx, tau_cands, _screen_group, functools.partial(_sure_group, hybrid=False),
-                ctx.s2_total, skip_empty=False, bound=_screen_bound)
-
-
-def _loss_cut(batch: DataBatch, side: np.ndarray, grid: np.ndarray) -> _Cut:
-    """The realized-loss terms of the groups on ``grid`` over ``side``,
-    with the interval bound that prunes their K = 2 and K = 3 searches."""
-    return _Cut(_SortedBatch(batch, side, loss=True), grid, _min_loss_threshold,
-                _min_loss_threshold, 0.0, bound=_loss_bound)
-
-
 def fit_oracle_loss(batch: DataBatch, cfg: SearchConfig | None = None) -> FitResult:
     """Best hyperparameters in hindsight: same search space as fit_asus,
-    realized loss as the objective. Requires batch.theta."""
+    realized loss as the objective. Requires batch.theta; a row whose loss
+    overflows is rejected with a ValueError naming it."""
     if batch.theta is None:
         raise ValueError("fit_oracle_loss requires batch.theta")
     if cfg is None:
         cfg = SearchConfig()
     grid = _fit_grid(batch.s, cfg.k, cfg.mn_factor)
-    best = _best(_loss_cut(batch, batch.s, grid), cfg.k)
+    best = _search(_loss_cut(batch, batch.s, grid), [cfg.k]).get(cfg.k)
     if best is None:
         raise _infeasible(cfg.k)
-    _, tau, t, sizes = best
-    return _scored_fit(batch, HyperParams(tau=tau, t=t), sizes, "oracle-loss")
+    return _scored_fit(batch, HyperParams(*best[1:3]), best[3], "oracle-loss")
 
 
 def xi_split_candidates(xi: np.ndarray, cap: int | None = None) -> np.ndarray:
@@ -143,7 +119,7 @@ def fit_oracle_side(batch: DataBatch) -> FitResult:
     if batch.theta is None or batch.xi is None:
         raise ValueError("fit_oracle_side requires batch.theta and batch.xi")
     # every split leaves both groups nonempty, so a minimizer exists
-    _, tau, t, sizes = _best(_loss_cut(batch, batch.xi, xi_split_candidates(batch.xi)), 2)
+    _, tau, t, sizes = _search(_loss_cut(batch, batch.xi, xi_split_candidates(batch.xi)), [2])[2]
     hp = HyperParams(tau=tau, t=t)
     theta_hat = apply_estimator(dataclasses.replace(batch, s=batch.xi), hp)
     return FitResult(

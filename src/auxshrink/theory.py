@@ -44,17 +44,20 @@ class RegimeParams:
             raise ValueError("need 0 < alpha < beta <= 1")
         if not (0.0 < self.pi1 < 1.0):
             raise ValueError("pi1 must lie strictly inside (0, 1)")
-        if self.sigma_bar_sq <= 0.0:
-            raise ValueError("sigma_bar_sq must be positive")
+        if not (math.isfinite(self.sigma_bar_sq) and self.sigma_bar_sq > 0.0):
+            raise ValueError(f"sigma_bar_sq must be finite and positive, not {self.sigma_bar_sq}")
+        if not float(self.n).is_integer():
+            raise ValueError(f"n must be an integer, not {self.n}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        object.__setattr__(self, "n", int(self.n))  # an integral float counts as its int
 
 
 def opt_threshold_f(t: float) -> float:
     """Best soft threshold at sparsity level exp(-t^2/2):
     f(t) = sqrt(t^2 - 6 log t + 2 log phi(0))."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"t must be finite and positive, not {t}")
     arg = t * t - 6.0 * math.log(t) + 2.0 * _LOG_PHI0
     if arg <= 0.0:
         raise ValueError(
@@ -114,6 +117,9 @@ def efficiency_diagnostics(
     ones raise. r_as == r_os yields e = inf, ri = 1. r_ns == r_os is
     flagged as degenerate (no headroom to measure improvement against).
     """
+    for name, r in (("r_ns", r_ns), ("r_as", r_as), ("r_os", r_os)):
+        if not math.isfinite(r):
+            raise ValueError(f"{name} must be finite, not {r}")
     scale = max(abs(r_ns), abs(r_os), abs(r_as), 1.0)
     tol = clamp_tol * scale
     if r_as < r_os:

@@ -5,40 +5,43 @@ batch is sorted once by z = |y|/sigma (``_SortedBatch``). A breakpoint grid
 on a side sequence (S, |S| or the latent xi) cuts it into cells, cell c
 holding the side values in (grid[c-1], grid[c]], so every group of a K-group
 fit is a run of contiguous cells and the fit's objective is a sum of
-independent group terms. ``_Cut.terms`` evaluates the term of the group
-spanning cells a..b for many (a, b) at once (SURE, realized loss or
-screening), each from sums over z-sorted coordinates masked to the group.
-``_search`` combines these interval terms over cells into the exact
-minimizer for every K, as in optimal partitioning (Jackson et al. 2005, "An
-algorithm for optimal partitioning of data on an interval"): a forward pass
-finds the least objective, a backward pass bounds what each partial sum may
-be and still reach it, and a greedy pass then picks the lexicographically
-smallest breakpoints. Its cost grows with the square of the number of
-nonempty cells, not with the C(m, K-1) breakpoint vectors.
+independent group terms. A ``_Cut`` is such a grid with its group terms; the
+three cut builders live here: ``_sure_cut`` (SURE), ``_loss_cut`` (realized
+loss, for the oracles) and ``_screen_cut`` (the screening baseline).
+``_Cut.terms`` evaluates the term of the group spanning cells a..b for many
+(a, b) at once, each from sums over z-sorted coordinates masked to the group.
+``_search``, the one entry point of every search, combines these interval
+terms over cells into the exact minimizer for every K, as in optimal
+partitioning (Jackson et al. 2005, "An algorithm for optimal partitioning of
+data on an interval"): a forward pass finds the least objective, a backward
+pass bounds what each partial sum may be and still reach it, and a greedy
+pass then picks the lexicographically smallest breakpoints. Its cost grows
+with the square of the number of nonempty cells, not with the C(m, K-1)
+breakpoint vectors.
 
-Searches whose largest K is 2 or 3 first rule groups out, as pruning does in
-optimal partitioning (Killick et al. 2012, "Optimal detection of changepoints
-with a linear computational cost"). ``_IntervalBound`` bounds from below the
-least term of the group on any run of cells, from per-coordinate minima on a
-fixed coarse grid of thresholds. ``_pruned`` bounds every split (K = 2) and
-every pair of breakpoints (K = 3) by the bounds of its head, middle and tail
-groups, takes the exact total of the one with the least bound, and scores
-exactly only the groups that a split or pair still within a rounding margin
-of that total needs; a K = 3 pair is bounded again with its exact head and
-tail before its middle group is scored. The others cannot reach the minimum
-or tie with it, so the fit is bit for bit that of scoring every group. The
-K = 2 searches of the realized-loss fits (``fit_oracle_loss``,
-``fit_oracle_side``) and of the screening baseline (``fit_auxscr``, whose
-screened group's bound is its exact per-cell sum), and the K = 3 searches
-(``select_k(k_max=3)``, ``fit_asus`` and ``fit_oracle_loss`` at K = 3) are
-pruned. The K = 2 SURE search and K >= 4 are not.
+``_search`` first rules groups out when the cut carries a bound and the
+largest K it searches is 2 or 3, as pruning does in optimal partitioning
+(Killick et al. 2012, "Optimal detection of changepoints with a linear
+computational cost"). ``_IntervalBound`` bounds from below the least term of
+the group on any run of cells, from per-coordinate minima on a fixed coarse
+grid of thresholds. ``_pruned`` bounds every split (K = 2) and every pair of
+breakpoints (K = 3) by the bounds of its head, middle and tail groups, takes
+the exact total of the one with the least bound, and scores exactly only the
+groups that a split or pair still within a rounding margin of that total
+needs; a K = 3 pair is bounded again with its exact head and tail before its
+middle group is scored. The others cannot reach the minimum or tie with it,
+so the fit is bit for bit that of scoring every group. The loss and
+screening cuts always carry their bound, so the K = 2 searches of
+``fit_oracle_loss``, ``fit_oracle_side`` and ``fit_auxscr`` (whose screened
+group's bound is its exact per-cell sum) and ``fit_oracle_loss`` at K = 3
+are pruned. A SURE cut carries it only for a largest K of 3
+(``select_k(k_max=3)`` and ``fit_asus`` at K = 3). The K = 2 SURE search and
+K >= 4 are not pruned.
 
 Every search scores each distinct group once. A group's term depends on its
 coordinates alone, so groups that differ only by empty cells share one term.
-Only full grids hold such groups (``sweep_tau`` on S, ``fit_auxscr`` on
-|S|): on 1000-row one-sample-s1 and two-sample-s2 batches 127-184 of the 347
-cells hold a coordinate, on two-sample-s2 |S| at n = 5000 206-285 of 429,
-and on the asymptotic families 63-85% (20 seeds each). The grids of
+Only full grids hold such groups (``sweep_tau`` on S, ``fit_auxscr`` on |S|;
+README "Where the search lives" gives their share). The grids of
 ``_split_points`` hold no empty cell, so the other searches pay one
 ``np.unique`` per call.
 
@@ -262,7 +265,8 @@ class _SortedBatch:
         if loss:
             y, theta, sigma = batch.y[order], batch.theta[order], batch.sigma[order]
             err = y - theta
-            self.loss_columns = (theta**2, err**2, sigma * np.sign(y) * err, self.s2s)
+            with np.errstate(over="ignore"):  # _loss_cut rejects what overflows
+                self.loss_columns = (theta**2, err**2, sigma * np.sign(y) * err, self.s2s)
 
     @classmethod
     def of_group(cls, z: np.ndarray, sigma: np.ndarray, n: int) -> "_SortedBatch":
@@ -282,8 +286,9 @@ class _SortedBatch:
         self.s2_total = float(self.s2s.sum())
         self.side = self.capped = self.s2z2 = self.loss_columns = None
         if not loss:
-            self.capped = np.minimum(self.zs**2, self.t_n**2)
-            self.s2z2 = self.s2s * self.zs * self.zs
+            with np.errstate(over="ignore"):  # SURE terms read s2z2 up to t_n only
+                self.capped = np.minimum(self.zs**2, self.t_n**2)
+                self.s2z2 = self.s2s * self.zs * self.zs
         return order
 
     @functools.cached_property
@@ -328,9 +333,10 @@ def _sure_group(ctx: _SortedBatch, mask: np.ndarray, hybrid: bool) -> tuple:
     """SURE-fitted threshold and SURE term of each group (row of ``mask``),
     hybrid rule first; the smallest threshold wins ties. Without the hybrid
     rule an empty group gives (0, 0)."""
+    cands, counts, _, c = ctx.candidates
     p0 = _prefix(mask * ctx.s2s)
-    p2 = _prefix(mask * ctx.s2z2)
-    cands, counts = ctx.candidates[:2]
+    # the terms read s2 z^2 below t_n only, the first c coordinates
+    p2 = _prefix(mask[:, :c] * ctx.s2z2[:c])
     vals = _sure_values(p0, p2, cands, counts)
     vals[~ctx.members(mask)] = np.inf
     i = np.argmin(vals, axis=1)
@@ -588,7 +594,8 @@ def _sure_bound(cut: _Cut, hybrid: bool, screen: bool = False) -> _IntervalBound
     """The interval bound of a SURE cut. A coordinate's term is
     s2 (z^2 - 2) at thresholds t >= z and s2 t^2 below z: on [t_j, t_{j+1}]
     at least s2 t_j^2. With ``screen`` a K = 2 split's first group is
-    screened, its term s2 (z^2 - 2) at every threshold (``_screen_bound``)."""
+    screened (``_screen_cut``): its term is s2 (z^2 - 2) at every threshold,
+    and that column's cumulative sum over the cells bounds it exactly."""
     ctx = cut.ctx
     below = ctx.s2z2 - 2.0 * ctx.s2s
 
@@ -606,14 +613,6 @@ def _sure_bound(cut: _Cut, hybrid: bool, screen: bool = False) -> _IntervalBound
     # s2 |z^2 - 2| in all, and the margin's derivation holds with that scale.
     scale += float(np.abs(below).sum())
     return _IntervalBound(cut, below, above, scale, hybrid, head_column=below)
-
-
-def _screen_bound(cut: _Cut) -> _IntervalBound:
-    """The interval bound of a screening cut (``fit_auxscr``): the screened
-    first group is bounded by its exact term, that column's cumulative sum
-    over the cells, and the kept group by the SURE bound without the hybrid
-    rule."""
-    return _sure_bound(cut, hybrid=False, screen=True)
 
 
 def _within(ctx: _SortedBatch, cells: np.ndarray, lo: int, hi: int) -> tuple:
@@ -642,9 +641,9 @@ class _Cut:
     a..m, a = 1..m), each computed on first use. ``first`` fits the first
     group and ``rest`` the others; with ``skip_empty`` an empty group's term
     is +inf. ``bound``, when given, maps the cut to its ``_IntervalBound``,
-    with which ``_pruned`` prunes a search whose largest K is 2 or 3.
-    ``middle`` holds the first cells a of the middle groups a search
-    visits."""
+    with which ``_search`` prunes when its largest K is 2 or 3. ``middle``
+    holds the first cells a of the middle groups a search visits. The cut
+    builders are ``_sure_cut``, ``_loss_cut`` and ``_screen_cut``."""
 
     def __init__(self, ctx: _SortedBatch, grid: np.ndarray, first, rest, base: float,
                  skip_empty: bool = True, bound=None):
@@ -722,12 +721,6 @@ class _Cut:
         return self.terms(self.rest, np.full(b.size, a), b,
                           _within(self.ctx, self.cells, a, self.m - 1))
 
-    def fit(self, idx, ts) -> tuple:
-        """(tau, t, sizes) of the breakpoint indices ``idx``."""
-        idx = np.asarray(idx, dtype=int)
-        edges = self.count[np.concatenate([[0], idx + 1, [self.m + 1]])]
-        return self.grid[idx], np.array(ts, dtype=float), np.diff(edges)
-
 
 _SIGN = np.int64(-(2**63))
 
@@ -778,10 +771,14 @@ def _largest_total(total: float, n: int) -> float:
 
 
 def _search(cut: _Cut, ks) -> dict:
-    """{K: (value, breakpoint indices, t)} of the minimizer of
+    """{K: (value, tau, t, sizes)} of the minimizer of
     value = (base + term of group 1 + ... + term of group K) / n, summed in
-    that order, for each K in ``ks`` that a breakpoint vector can fit; a K
-    above m+1 cannot take K-1 of the m grid points and is dropped first.
+    that order, for each K in ``ks`` that a breakpoint vector can fit: its
+    K - 1 breakpoints, K thresholds and K group sizes. A K above m+1 cannot
+    take K-1 of the m grid points and is dropped first.
+
+    Every search runs here. When the cut carries a bound and the largest K
+    left is 2 or 3, it runs on ``_pruned(cut, ks)``, bit for bit the same.
 
     Ties go to the lexicographically smallest breakpoints. Rounding of
     x + c and of x / n is monotone in x, so the least partial sums give the
@@ -796,9 +793,11 @@ def _search(cut: _Cut, ks) -> dict:
     """
     m, n, base = cut.m, cut.ctx.n, cut.base
     ks = [k for k in ks if k <= m + 1]
+    kmax = max(ks, default=1)
+    if cut.bound is not None and kmax in (2, 3):
+        cut = _pruned(cut, ks)
     head_t, head_v = cut.head
     tail_t, tail_v = cut.tail
-    kmax = max(ks, default=1)
     # part[k][b]: least sum of base and k groups covering cells 0..b
     part = [None, base + head_v[:m]] + [np.full(m, np.inf) for _ in range(2, kmax)]
     for a in cut.middle if kmax > 2 else ():
@@ -824,9 +823,6 @@ def _search(cut: _Cut, ks) -> dict:
                 lim[g][a - 1] = np.max(_largest_addend(row, lim[g + 1][a:]))
     fits = {}
     for k in ks:
-        if k == 1:
-            fits[1] = (best[1] / n, [], [head_t[m]])
-            continue
         total, prev, idx, ts = base, -1, [], []
         for g in range(1, k):
             row_t, row_v = (head_t[:m], head_v[:m]) if g == 1 else cut.row(prev + 1)
@@ -836,7 +832,9 @@ def _search(cut: _Cut, ks) -> dict:
             prev += 1 + j
             idx.append(prev)
             ts.append(row_t[j])
-        fits[k] = ((total + tail_v[prev]) / n, idx, ts + [tail_t[prev]])
+        total, last_t = (best[1], head_t[m]) if k == 1 else (total + tail_v[prev], tail_t[prev])
+        sizes = np.diff(cut.count[[0, *(i + 1 for i in idx), m + 1]])
+        fits[k] = (total / n, cut.grid[idx], np.array(ts + [last_t]), sizes)
     return fits
 
 
@@ -845,7 +843,7 @@ def _pruned(cut: _Cut, ks) -> _Cut:
     that holds exact terms only where K = 1, a split (K = 2) or a pair of
     breakpoints (K = 3) whose lower bound can still reach that K's least
     total needs them, and +inf (as for a group that is empty) elsewhere; its
-    ``middle`` lists the rows a that keep a pair.
+    ``middle`` lists the rows a that keep a pair, and it has no bound.
 
     A K = 3 total is (base + head term of cells 0..a-1) + the term of cells
     a..b + the tail term of cells b+1..m, and a K = 2 total has no middle
@@ -874,6 +872,7 @@ def _pruned(cut: _Cut, ks) -> _Cut:
 
     pruned = copy.copy(cut)
     pruned.head, pruned.tail, pruned.middle = (head_t, head_v), (tail_t, tail_v), []
+    pruned.bound = None
     none = np.empty(0, dtype=int)
     # the split and the pair (a, b) with the least bound
     lower = head + tail
@@ -932,32 +931,54 @@ def _pruned(cut: _Cut, ks) -> _Cut:
     return pruned
 
 
-def _best(cut: _Cut, k: int):
-    """(value, tau, t, sizes) of the K-group minimizer on ``cut``, or None.
-    A K = 2 or K = 3 search on a cut with a bound scores exactly only the
-    groups of the splits or pairs it cannot rule out (``_pruned``)."""
-    if cut.bound is not None and k in (2, 3):
-        cut = _pruned(cut, [k])
-    fit = _search(cut, [k]).get(k)
-    return None if fit is None else (fit[0], *cut.fit(fit[1], fit[2]))
-
-
 def _sure_cut(batch: DataBatch, grid: np.ndarray, hybrid: bool, k_max: int = 2) -> _Cut:
     """The SURE terms of the groups on ``grid`` over ``batch.s``, for a
     search whose largest K is ``k_max``.
 
-    Only K = 3 carries the bound, with which ``_pruned`` scores exactly only
-    the head, middle and tail groups of the pairs it cannot rule out, and the
-    K = 1 and K = 2 fits ``select_k`` takes from the same cut. K >= 4 has no
-    prune. A K = 2 prune of the splits is as sound as the realized
-    loss's, and about doubles Monte Carlo throughput, but completing more
-    benchmark cycles raises the benchmark's peak memory beyond its bound
-    while the benchmark holds every cycle's outputs (ROADMAP item 6).
+    Only a cut for k_max = 3 carries the bound, with which ``_search``
+    scores exactly only the head, middle and tail groups of the pairs it
+    cannot rule out, and the K = 1 and K = 2 fits ``select_k`` takes from the
+    same search. A K = 2 prune of the splits (``fit_asus`` at K = 2) is as
+    sound as the realized loss's and about doubles Monte Carlo throughput,
+    but the benchmark holds every cycle's outputs, so completing more cycles
+    raised its peak memory on the one-sample workload by 11.7%, beyond its
+    bound (ROADMAP item 6). ``_search`` prunes no K >= 4.
     """
     ctx = _SortedBatch(batch, batch.s)
     term = functools.partial(_sure_group, hybrid=hybrid)
     bound = functools.partial(_sure_bound, hybrid=hybrid) if k_max == 3 else None
     return _Cut(ctx, grid, term, term, ctx.s2_total, bound=bound)
+
+
+def _loss_cut(batch: DataBatch, side: np.ndarray, grid: np.ndarray) -> _Cut:
+    """The realized-loss terms of the groups on ``grid`` over ``side``, with
+    their interval bound. A row whose loss columns overflow is rejected:
+    masked out of a group by 0, its inf would make the group's sums NaN."""
+    ctx = _SortedBatch(batch, side, loss=True)
+    _reject_overflow(batch, ctx.loss_columns, "the realized loss")
+    return _Cut(ctx, grid, _min_loss_threshold, _min_loss_threshold, 0.0, bound=_loss_bound)
+
+
+def _screen_cut(batch: DataBatch, mn_factor: float = 50.0) -> _Cut:
+    """The screening terms of every cutoff on |S| (``fit_auxscr``), the grid
+    on |S| extended by 0 and max |S|, screened group first, with their
+    interval bound. A row whose s2 z^2 overflows is rejected (``_loss_cut``)."""
+    abs_s = np.abs(batch.s)
+    tau_cands = np.unique(np.concatenate([[0.0], tau_grid(abs_s, mn_factor), [abs_s.max()]]))
+    ctx = _SortedBatch(batch, abs_s)
+    _reject_overflow(batch, [ctx.s2z2], "the screening SURE term")
+    return _Cut(ctx, tau_cands, _screen_group, functools.partial(_sure_group, hybrid=False),
+                ctx.s2_total, skip_empty=False,
+                bound=functools.partial(_sure_bound, hybrid=False, screen=True))
+
+
+def _reject_overflow(batch: DataBatch, columns, what: str) -> None:
+    """Raise ValueError naming the first row of ``batch`` at which one of
+    ``columns``, z-sorted columns of its ``_SortedBatch``, is not finite."""
+    bad = ~np.isfinite(np.stack(columns)).all(axis=0)
+    if bad.any():
+        row = np.argsort(np.abs(batch.y) / batch.sigma, kind="stable")[bad].min()
+        raise ValueError(f"{what} overflows at row {row}: |y|, sigma or theta is too large")
 
 
 def _fit_grid(s: np.ndarray, k: int, mn_factor: float) -> np.ndarray:
@@ -987,11 +1008,10 @@ def _scored_fit(batch: DataBatch, hp: HyperParams, sizes: np.ndarray, name: str)
 
 def _fit_sure(batch: DataBatch, cfg: SearchConfig, name: str) -> FitResult:
     grid = _fit_grid(batch.s, cfg.k, cfg.mn_factor)
-    best = _best(_sure_cut(batch, grid, cfg.hybrid, cfg.k), cfg.k)
+    best = _search(_sure_cut(batch, grid, cfg.hybrid, cfg.k), [cfg.k]).get(cfg.k)
     if best is None:
         raise _infeasible(cfg.k)
-    _, tau, t, sizes = best
-    return _scored_fit(batch, HyperParams(tau=tau, t=t), sizes, name)
+    return _scored_fit(batch, HyperParams(*best[1:3]), best[3], name)
 
 
 def fit_sureshrink(batch: DataBatch, hybrid: bool = True) -> FitResult:
@@ -1064,15 +1084,12 @@ def select_k(
     grid = _fit_grid(batch.s, k_max, mn_factor)
     if k_max > grid.size + 1:  # every K up to grid.size + 1 fits: no cell is empty
         raise _infeasible(grid.size + 2)
-    cut = _sure_cut(batch, grid, hybrid, k_max)
-    ks = range(1, k_max + 1)
-    fits = _search(cut if cut.bound is None else _pruned(cut, ks), ks)
+    fits = _search(_sure_cut(batch, grid, hybrid, k_max), range(1, k_max + 1))
     sures = []
     for k in range(1, k_max + 1):
         if k not in fits:
             raise _infeasible(k)
-        tau, t, _ = cut.fit(fits[k][1], fits[k][2])
-        sures.append(sure(batch, HyperParams(tau=tau, t=t)))
+        sures.append(sure(batch, HyperParams(*fits[k][1:3])))
     sures = np.array(sures)
     k_selected = int(np.argmin(sures)) + 1
     k_elbow = 1

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,28 @@ class TestEstimate:
         assert rc == 1
         assert f"{tmp_path}/{report}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv"]
+
+
+def test_overflowing_row_exits_naming_it(tmp_path, capsys):
+    """y = 1e160 at row 5 overflows the screening term: aux-scr exits 1 with
+    the row named and writes nothing, with no RuntimeWarning; asus fits."""
+    rng = np.random.default_rng(63)
+    y, s = rng.normal(0, 1, (2, 200))
+    y[5] = 1e160
+    path = tmp_path / "batch.csv"
+    write_batch_csv(path, [(f"c{i}", f"{v:.17g}", "1.0", f"{w:.17g}")
+                           for i, (v, w) in enumerate(zip(y, s))])
+    argv = ["estimate", "--input", str(path), "--output", str(tmp_path / "o.csv"),
+            "--report", str(tmp_path / "r.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--method", "aux-scr"]) == 1
+        assert capsys.readouterr().err == (
+            "error: the screening SURE term overflows at row 5: "
+            "|y|, sigma or theta is too large\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv"]
+        assert main([*argv, "--method", "asus"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv", "o.csv", "r.json"]
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -558,6 +581,21 @@ class TestTheoryCommand:
         assert main(["theory", "diagnostics", "0.191", "0.095", "0.095"]) == 0
         out = capsys.readouterr().out
         assert "RI=1" in out
+
+    @pytest.mark.parametrize("argv, name", [
+        (["f", "inf"], "t"),
+        (["h", "nan"], "t"),
+        (["gap", "0.2", "0.6", "0.1", "1", "inf"], "n"),
+        (["gap", "0.2", "0.6", "0.1", "1", "1000.9"], "n"),
+        (["gap", "0.2", "0.6", "0.1", "nan", "1000"], "sigma_bar_sq"),
+        (["diagnostics", "nan", "1", "2"], "r_ns"),
+        (["diagnostics", "0.3", "0.2", "inf"], "r_os"),
+    ])
+    def test_non_finite_or_fractional_input_exits_naming_it(self, capsys, argv, name):
+        assert main(["theory", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name} must be ")
+        assert captured.out == ""
 
     def test_gap_degenerate_pi_named(self, capsys):
         rc = main(["theory", "gap", "0.6", "0.9", "1.0", "1.0", "5000"])

@@ -19,7 +19,7 @@ import pytest
 
 from auxshrink import ScenarioSpec, generate, sweep_tau
 from auxshrink import tuner
-from auxshrink.estimators import _screen_cut
+from auxshrink.tuner import _screen_cut
 from test_loss_bound import unbounded
 
 SPECS = {

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -220,3 +223,57 @@ def test_two_sample_auxscr_sits_between_asus_and_sureshrink():
     assert scr.loss_value < ss.loss_value
     assert scr.group_sizes[0] + scr.group_sizes[1] == b.n
     assert scr.hp.t[0] > universal_threshold(b.n)  # max |z| of a big group
+
+
+def overflow_batch(theta: bool = True) -> DataBatch:
+    """A finite batch whose row 7 has y = 1e160 (sigma = 1): its y^2, and so
+    sigma^2 z^2 and (y - theta)^2, overflow to inf."""
+    b = signal_batch(np.random.default_rng(62), n=300, n_sig=60)
+    y = b.y.copy()
+    y[7] = 1e160
+    return dataclasses.replace(b, y=y) if theta else DataBatch(y=y, sigma=b.sigma, s=b.s)
+
+
+class TestOverflowingRow:
+    """Masked out of a group by 0, an inf square would turn the group's sums
+    into NaN. The screening and loss fits reject its row by index; the SURE
+    fits never sum it and still fit. None of them emits a RuntimeWarning."""
+
+    @pytest.mark.parametrize("fit, what", [
+        (fit_auxscr, "the screening SURE term"),
+        (fit_oracle_loss, "the realized loss"),
+        (lambda b: fit_oracle_loss(b, SearchConfig(k=3)), "the realized loss"),
+        (fit_oracle_side, "the realized loss"),
+    ])
+    def test_screening_and_loss_fits_name_the_row(self, fit, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{what} overflows at row 7:"):
+                fit(overflow_batch())
+
+    def test_overflowing_theta_is_named(self):
+        b = overflow_batch()
+        theta = b.theta.copy()
+        theta[7] = 1e160  # y - theta is finite, theta^2 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the realized loss overflows at row 7:"):
+                fit_oracle_loss(dataclasses.replace(b, theta=theta))
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_sure_fits_still_fit(self, k):
+        """A SURE term reads s2 z^2 only up to t_n, so the fit is that of the
+        batch with y = 1e10 at row 7, another z far above t_n."""
+        fit = fit_sureshrink if k == 1 else (lambda b: fit_asus(b, SearchConfig(k=k)))
+        b = overflow_batch(theta=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit(b)
+        y = b.y.copy()
+        y[7] = 1e10
+        want = fit(dataclasses.replace(b, y=y))
+        np.testing.assert_array_equal(got.hp.tau, want.hp.tau)
+        np.testing.assert_array_equal(got.hp.t, want.hp.t)
+        np.testing.assert_array_equal(got.group_sizes, want.group_sizes)
+        assert got.sure_value == want.sure_value
+        assert got.theta_hat[7] > 1e159

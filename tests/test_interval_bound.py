@@ -1,9 +1,10 @@
 """The interval lower bound and the pruned K = 3 search.
 
 `tuner._IntervalBound` bounds from below the least term of the group on
-cells a..b of a cut, for any a <= b. `_pruned` (a search whose largest K is
-2 or 3) scores exactly only the head, middle and tail groups of the splits
-and pairs it cannot rule out. Three things make that safe and worth it:
+cells a..b of a cut, for any a <= b. `_search`, when its largest K is 2 or 3
+and the cut carries the bound, scores exactly only the head, middle and tail
+groups of the splits and pairs it cannot rule out (`_pruned`). Three things
+make that safe and worth it:
 
 * the bound is at most the exact `_Cut.terms` value of every interval, for
   SURE with and without the hybrid rule and for the realized loss. A group
@@ -38,12 +39,10 @@ from auxshrink import (
     universal_threshold,
 )
 from auxshrink import tuner
-from auxshrink.estimators import _loss_cut
 from auxshrink.tuner import (
-    _best,
     _fit_grid,
     _hybrid_fires,
-    _pruned,
+    _loss_cut,
     _search,
     _sure_cut,
     tau_grid,
@@ -179,23 +178,23 @@ def assert_pruned_searches_match(batch: DataBatch, mn_factor: float) -> None:
     grid = _fit_grid(batch.s, 3, mn_factor)
     for hybrid in (True, False):
         cut = _sure_cut(batch, grid, hybrid, k_max=3)
-        # select_k(k_max=3): every K from one search on the pruned cut
-        got = _search(_pruned(cut, range(1, 4)), range(1, 4))
+        # select_k(k_max=3): every K from one pruned search
+        got = _search(cut, range(1, 4))
         want = _search(unbounded(cut), range(1, 4))
         assert got.keys() == want.keys()
         for k in want:
-            assert_same((got[k][0], *cut.fit(*got[k][1:])), (want[k][0], *cut.fit(*want[k][1:])))
-        assert_same(_best(cut, 3), _best(unbounded(cut), 3))
-        assert_same(_best(cut, 2), _best(unbounded(cut), 2))
+            assert_same(got[k], want[k])
+        assert_same(_search(cut, [3]).get(3), _search(unbounded(cut), [3]).get(3))
+        assert_same(_search(cut, [2]).get(2), _search(unbounded(cut), [2]).get(2))
         fit = fit_asus(batch, SearchConfig(k=3, mn_factor=mn_factor, hybrid=hybrid))
-        want = _best(unbounded(cut), 3)
+        want = _search(unbounded(cut), [3]).get(3)
         np.testing.assert_array_equal(fit.hp.tau, want[1])
         np.testing.assert_array_equal(fit.hp.t, want[2])
     if batch.theta is not None:
         cut = _loss_cut(batch, batch.s, grid)
-        assert_same(_best(cut, 3), _best(unbounded(cut), 3))
+        assert_same(_search(cut, [3]).get(3), _search(unbounded(cut), [3]).get(3))
         fit = fit_oracle_loss(batch, SearchConfig(k=3, mn_factor=mn_factor))
-        np.testing.assert_array_equal(fit.hp.tau, _best(unbounded(cut), 3)[1])
+        np.testing.assert_array_equal(fit.hp.tau, _search(unbounded(cut), [3]).get(3)[1])
 
 
 @pytest.mark.parametrize("seed", (3, 11))
@@ -237,5 +236,5 @@ def test_select_k_is_pruned(monkeypatch):
     assert 0 < sum(ends) < (2 * m + 1) / 4
     cut = _sure_cut(batch, _fit_grid(batch.s, 3, 50.0), True)
     fits = _search(cut, range(1, 4))
-    want = [sure(batch, HyperParams(*cut.fit(*fits[k][1:])[:2])) for k in (1, 2, 3)]
+    want = [sure(batch, HyperParams(*fits[k][1:3])) for k in (1, 2, 3)]
     np.testing.assert_array_equal(got.sure_values, want)

@@ -18,8 +18,8 @@ import pytest
 
 from auxshrink import DataBatch, ScenarioSpec, generate
 from auxshrink import tuner
-from auxshrink.estimators import _loss_cut, xi_split_candidates
-from auxshrink.tuner import _best, _fit_grid, _loss_bound
+from auxshrink.estimators import xi_split_candidates
+from auxshrink.tuner import _fit_grid, _loss_bound, _loss_cut, _search
 from test_search_equivalence import BATCHES, assert_same, make_batch
 
 SIZES = (503, 2000, 5000)
@@ -112,7 +112,7 @@ def test_bound_never_exceeds_the_exact_loss_on_designed_batches(name):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_pruned_search_equals_the_full_search(family, n, seed):
     for cut in loss_cuts(family_batch(family, n, seed)):
-        assert_same(_best(cut, 2), _best(unbounded(cut), 2))
+        assert_same(_search(cut, [2]).get(2), _search(unbounded(cut), [2]).get(2))
 
 
 def test_bound_is_within_its_margin_where_every_split_ties():
@@ -127,7 +127,7 @@ def test_bound_is_within_its_margin_where_every_split_ties():
 def test_pruned_search_equals_the_full_search_on_designed_batches(name):
     batch, mn_factor = zero_y_batch() if name == "zero-y" else DESIGNED[name]()
     for cut in loss_cuts(batch, mn_factor):
-        assert_same(_best(cut, 2), _best(unbounded(cut), 2))
+        assert_same(_search(cut, [2]).get(2), _search(unbounded(cut), [2]).get(2))
 
 
 def test_most_splits_are_pruned(monkeypatch):
@@ -141,7 +141,7 @@ def test_most_splits_are_pruned(monkeypatch):
         return terms(self, term, lo, hi)
 
     monkeypatch.setattr(tuner._Cut, "terms", counting)
-    got = _best(cut, 2)
+    got = _search(cut, [2]).get(2)
     monkeypatch.undo()
     assert 0 < len(scored) < cut.m / 2
-    assert_same(got, _best(unbounded(cut), 2))
+    assert_same(got, _search(unbounded(cut), [2]).get(2))

@@ -1,7 +1,7 @@
 """The pruned K = 2 search of the screening baseline.
 
-`fit_auxscr` scores exactly only the cutoffs whose lower bound
-(`tuner._screen_bound`) can still reach the least SURE. The screened first
+`fit_auxscr` scores exactly only the cutoffs whose lower bound (that of
+`tuner._screen_cut`) can still reach the least SURE. The screened first
 group's bound is its exact term, the cumulative sum of s2 (z^2 - 2) over the
 cells; the kept group takes the SURE segment bound. Four things make that
 safe and worth it:
@@ -28,8 +28,7 @@ import pytest
 
 from auxshrink import DataBatch, ScenarioSpec, fit_auxscr, generate
 from auxshrink import estimators, tuner
-from auxshrink.estimators import _screen_cut
-from auxshrink.tuner import _best
+from auxshrink.tuner import _screen_cut, _search
 from test_loss_bound import (
     DESIGNED,
     FAMILIES,
@@ -77,7 +76,7 @@ def assert_bound_holds(cut) -> None:
 
 def assert_fit_is_the_full_search(batch: DataBatch, mn_factor: float, monkeypatch) -> None:
     cut = _screen_cut(batch, mn_factor)
-    assert_same(_best(cut, 2), _best(unbounded(cut), 2))
+    assert_same(_search(cut, [2]).get(2), _search(unbounded(cut), [2]).get(2))
     got = fit_auxscr(batch, mn_factor)
     with monkeypatch.context() as patch:
         patch.setattr(estimators, "_screen_cut", lambda b, f: unbounded(_screen_cut(b, f)))
@@ -141,10 +140,10 @@ def test_most_splits_are_pruned(monkeypatch):
         return terms(self, term, lo, hi, within)
 
     monkeypatch.setattr(tuner._Cut, "terms", counting)
-    got = _best(cut, 2)
+    got = _search(cut, [2]).get(2)
     monkeypatch.undo()
     assert 0 < len(scored) < 0.1 * cut.m
-    assert_same(got, _best(unbounded(cut), 2))
+    assert_same(got, _search(unbounded(cut), [2]).get(2))
 
 
 def test_splits_tied_within_rounding_are_kept(monkeypatch):

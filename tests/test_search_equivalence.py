@@ -19,10 +19,10 @@ import pytest
 import brute_force
 from auxshrink import DataBatch, SearchConfig, fit_asus, fit_oracle_loss, universal_threshold
 from auxshrink.tuner import (
-    _best,
     _Cut,
     _fit_grid,
     _min_loss_threshold,
+    _search,
     _sure_cut,
     _SortedBatch,
 )
@@ -84,7 +84,7 @@ def searched(batch: DataBatch, objective: str, k: int, mn_factor: float):
                    _min_loss_threshold, 0.0)
     else:
         cut = _sure_cut(batch, grid, hybrid=objective == "sure-hybrid")
-    return _best(cut, k)
+    return _search(cut, [k]).get(k)
 
 
 def enumerated(batch: DataBatch, objective: str, k: int, mn_factor: float, **kw):
@@ -121,7 +121,7 @@ def test_search_matches_enumeration(name, objective, seed):
 @pytest.mark.parametrize("name", sorted(BATCHES))
 def test_public_fits_use_the_search(name):
     batch, mn_factor = make_batch(name)
-    for k in (2, 3):
+    for k in (2, 3, 4):
         want = enumerated(batch, "sure-hybrid", k, mn_factor)
         fit = fit_asus(batch, SearchConfig(k=k, mn_factor=mn_factor))
         np.testing.assert_array_equal(fit.hp.tau, want[1])

@@ -26,6 +26,12 @@ class TestOptimalThreshold:
         assert opt_threshold_f(50.0) / 50.0 == pytest.approx(1.0, abs=1e-2)
         assert opt_threshold_f(500.0) / 500.0 == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_argument_rejected(self, t):
+        for fn in (opt_threshold_f, risk_factor_h):
+            with pytest.raises(ValueError, match="^t must be finite and positive"):
+                fn(t)
+
     def test_small_argument_rejected(self):
         with pytest.raises(ValueError):
             opt_threshold_f(1.0)
@@ -82,6 +88,26 @@ class TestRiskGap:
         with pytest.raises(ValueError):
             risk_gap_first_order(rp)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", math.nan),
+        ("beta", math.nan),
+        ("pi1", math.nan),
+        ("sigma_bar_sq", math.nan),
+        ("sigma_bar_sq", math.inf),
+        ("n", 1000.9),
+        ("n", math.inf),
+        ("n", math.nan),
+    ])
+    def test_non_finite_or_fractional_input_named(self, field, value):
+        kw = dict(alpha=0.5, beta=0.8, pi1=0.5, sigma_bar_sq=1.0, n=1000)
+        kw[field] = value
+        with pytest.raises(ValueError, match=field):
+            RegimeParams(**kw)
+
+    def test_integral_float_n_is_its_int(self):
+        rp = RegimeParams(alpha=0.6, beta=0.9, pi1=0.95, sigma_bar_sq=1.0, n=5000.0)
+        assert rp.n == 5000 and isinstance(rp.n, int)
+
     def test_exponent_ordering_enforced(self):
         with pytest.raises(ValueError):
             RegimeParams(alpha=0.9, beta=0.5, pi1=0.5, sigma_bar_sq=1.0, n=100)
@@ -109,6 +135,14 @@ class TestEfficiencyDiagnostics:
     def test_degenerate_flag(self):
         d = efficiency_diagnostics(0.2, 0.2, 0.2)
         assert d.degenerate and math.isnan(d.ri)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(3))
+    def test_non_finite_risk_named(self, index, value):
+        risks = [0.3, 0.2, 0.1]
+        risks[index] = value
+        with pytest.raises(ValueError, match=f"^{('r_ns', 'r_as', 'r_os')[index]} must be finite"):
+            efficiency_diagnostics(*risks)
 
     def test_clamps_tiny_mc_violations_only(self):
         d = efficiency_diagnostics(0.3, 0.1 - 1e-12, 0.1)
