@@ -34,6 +34,7 @@ from .estimators import fit_auxscr, fit_ejs
 from .tuner import fit_asus
 
 DEFAULT_ESTIMATORS = ("oracle", "asus", "aux-scr", "sureshrink")
+_QUOTED = frozenset(',"\r\n')  # what csv.writer may quote a cell for
 CONFIG_REQUIRED = ("scenario", "n", "reps", "seed")
 # what each simulate config key must hold; a JSON bool is no integer
 CONFIG_TYPES = {
@@ -47,14 +48,12 @@ CONFIG_TYPES = {
 
 
 def _round12(x):
-    if isinstance(x, float):
-        return float(f"{x:.12g}")
+    if isinstance(x, (float, np.floating)):
+        return float(f"{float(x):.12g}")
     if isinstance(x, dict):
         return {k: _round12(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_round12(v) for v in x]
-    if isinstance(x, (np.floating,)):
-        return float(f"{float(x):.12g}")
     if isinstance(x, (np.integer,)):
         return int(x)
     return x
@@ -98,55 +97,56 @@ def _commit(files) -> None:
         raise
 
 
+def _numeric(columns: dict) -> dict:
+    """Numeric ``columns`` (name: cells) as floats; optional ones skip empty cells."""
+    return {name: list(map(float, columns[name] if name in ("y", "s")
+                           else filter(None, columns.get(name, ()))))
+            for name in ("y", "s", "sigma", "xi", "theta")}
+
+
 def read_batch_csv(path: str) -> tuple[DataBatch, list]:
-    """Parse the input CSV into a batch; returns (batch, ids)."""
+    """Parse the input CSV into a batch; returns (batch, ids). Blank lines
+    are skipped, and the cells a short row lacks read as empty."""
     # utf-8-sig drops a leading byte-order mark, which would join the first name
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file")
-        # cells are read under the stripped names, so "id, y, s" reads as "id,y,s"
-        cols = reader.fieldnames = [c.strip() for c in reader.fieldnames]
+        cols = [c.strip() for c in header]  # "id, y, s" reads as "id,y,s"
         for i, name in enumerate(cols):
             if name in cols[:i]:
                 raise ValueError(f"{path}: column {name!r} appears more than once")
         for required in ("id", "y", "s"):
             if required not in cols:
                 raise ValueError(f"{path}: missing required column {required!r}")
-        ids, ys, ss = [], [], []
-        optional = {"sigma": [], "xi": [], "theta": []}
-        first_empty = {}
-        for lineno, row in enumerate(reader, start=2):
-            if None in row:  # DictReader files cells beyond the header under None
-                raise ValueError(f"{path}:{lineno}: row has {len(cols) + len(row[None])} "
-                                 f"cells, the header {len(cols)}")
-            try:
-                ids.append(row["id"])
-                ys.append(float(row["y"]))
-                ss.append(float(row["s"]))
-                for name, values in optional.items():
-                    if row.get(name) in (None, ""):
-                        first_empty.setdefault(name, lineno)
-                    else:
-                        values.append(float(row[name]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad row ({exc})") from exc
-    if not ids:
+        # a blank line reads as an empty row; reader.line_num is a row's last line
+        numbered = [(reader.line_num, row + [""] * (len(cols) - len(row)))
+                    for row in reader if row]
+    if not numbered:
         raise ValueError(f"{path}: no data rows")
-    for name, values in optional.items():
-        if values and name in first_empty:
-            raise ValueError(
-                f"{path}:{first_empty[name]}: column {name!r} is empty here "
-                "but filled on other rows"
-            )
-    batch = DataBatch(
-        y=np.array(ys),
-        sigma=np.array(optional["sigma"]) if optional["sigma"] else np.ones(len(ys)),
-        s=np.array(ss),
-        theta=np.array(optional["theta"]) if optional["theta"] else None,
-        xi=np.array(optional["xi"]) if optional["xi"] else None,
-    )
-    return batch, ids
+    lines, rows = zip(*numbered)
+    columns = dict(zip(cols, zip(*rows)))
+    try:
+        if max(map(len, rows)) > len(cols):
+            raise ValueError
+        data = _numeric(columns)
+    except ValueError:  # name the first bad row
+        for line, row in numbered:
+            if len(row) > len(cols):
+                raise ValueError("%s:%d: row has %d cells, the header %d"
+                                 % (path, line, len(row), len(cols)))
+            try:
+                _numeric(dict(zip(cols, zip(row))))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: bad row ({exc})") from exc
+    for name, values in data.items():  # y and s have every cell
+        if 0 < len(values) < len(rows):
+            raise ValueError(f"{path}:{lines[columns[name].index('')]}: column {name!r} "
+                             "is empty here but filled on other rows")
+    data = {name: np.array(values) if values else np.ones(len(rows)) if name == "sigma" else None
+            for name, values in data.items()}  # an absent or empty sigma column means 1
+    return DataBatch(**data), list(columns["id"])
 
 
 def cmd_estimate(args) -> int:
@@ -171,12 +171,12 @@ def cmd_estimate(args) -> int:
         "hybrid": bool(args.hybrid),
     }
     # cells formatted from Python floats: the same bytes as from numpy
-    # scalars, without indexing an array per cell
-    columns = zip(ids, batch.y.tolist(), batch.sigma.tolist(), batch.s.tolist(),
-                  fr.theta_hat.tolist(), groups.tolist())
-    estimates = _csv(["id", "y", "sigma", "s", "theta_hat", "group"], (
-        [ident, f"{y:.17g}", f"{sigma:.17g}", f"{s:.17g}", f"{theta_hat:.17g}", group]
-        for ident, y, sigma, s, theta_hat, group in columns))
+    # scalars; an id is quoted where csv.writer would quote it
+    ids = [i if _QUOTED.isdisjoint(i) else _csv([i, ""], ())[:-2] for i in ids]
+    cells = zip(ids, batch.y.tolist(), batch.sigma.tolist(), batch.s.tolist(),
+                fr.theta_hat.tolist(), groups.tolist())
+    estimates = "id,y,sigma,s,theta_hat,group\n" + "".join(
+        map("%s,%.17g,%.17g,%.17g,%.17g,%d\n".__mod__, cells))
     _commit([(args.output, estimates), (args.report, json.dumps(report, indent=2) + "\n")])
     return 0
 
@@ -186,11 +186,11 @@ def cmd_sweep(args) -> int:
     cfg = SearchConfig(k=2, mn_factor=args.mn_factor, hybrid=args.hybrid)
     curve = sweep_tau(batch, cfg)
     ref = fit_sureshrink(batch, hybrid=args.hybrid)
-    rows = [["reference", "", f"{ref.sure_value:.17g}", f"{ref.hp.t[0]:.17g}", ""]]
-    rows += (["sweep", *(f"{v:.17g}" for v in point)] for point in zip(
+    text = "kind,tau,sure,t1,t2\nreference,,%.17g,%.17g,\n" % (ref.sure_value, ref.hp.t[0])
+    text += "".join(map("sweep,%.17g,%.17g,%.17g,%.17g\n".__mod__, zip(
         curve.tau_values.tolist(), curve.sure_values.tolist(), curve.t1_values.tolist(),
-        curve.t2_values.tolist()))
-    _commit([(args.output, _csv(["kind", "tau", "sure", "t1", "t2"], rows))])
+        curve.t2_values.tolist())))
+    _commit([(args.output, text)])
     return 0
 
 

@@ -227,14 +227,18 @@ def _sure_rows(batch: DataBatch, t_rows: np.ndarray) -> np.ndarray:
 
 
 def loss(theta, theta_hat) -> float:
-    """Mean squared error n^{-1} ||theta_hat - theta||^2; both vectors must
-    be finite."""
+    """Mean squared error n^{-1} ||theta_hat - theta||^2; both vectors, and
+    the loss, must be finite."""
     theta = _finite_vector(theta, "theta")
     theta_hat = _finite_vector(theta_hat, "theta_hat")
     if theta.shape != theta_hat.shape:
         raise ValueError("theta and theta_hat must have equal length")
-    diff = theta_hat - theta
-    return float(diff @ diff / theta.size)
+    with np.errstate(over="ignore"):
+        diff = theta_hat - theta
+        value = float(diff @ diff / theta.size)
+    if not math.isfinite(value):
+        raise ValueError("the loss overflows: theta_hat - theta is too large to square and sum")
+    return value
 
 
 def apply_estimator(batch: DataBatch, hp: HyperParams) -> np.ndarray:

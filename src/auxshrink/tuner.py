@@ -24,7 +24,9 @@ largest K it searches is 2 or 3, as pruning does in optimal partitioning
 (Killick et al. 2012, "Optimal detection of changepoints with a linear
 computational cost"). ``_IntervalBound`` bounds from below the least term of
 the group on any run of cells, from per-coordinate minima on a fixed coarse
-grid of thresholds. ``_pruned`` bounds every split (K = 2) and every pair of
+grid of thresholds (the segment-wise bound of FPOP, Maidstone et al. 2017),
+summed per cell from histograms over bins of z, a block of segments at a
+time. ``_pruned`` bounds every split (K = 2) and every pair of
 breakpoints (K = 3) by the bounds of its head, middle and tail groups, takes
 the exact total of the one with the least bound, and scores exactly only the
 groups that a split or pair still within a rounding margin of that total
@@ -408,17 +410,25 @@ class _IntervalBound:
     totals and these bounds.
 
     Each coordinate's term is ``below`` at thresholds t >= z, and at least
-    ``above(t_j, t_{j+1}, i)`` below z for t in [t_j, t_{j+1}]
-    (coordinates i.. of the batch). On a segment [t_j, t_{j+1}] of a fixed
-    grid on [0, t_n] a coordinate's term is thus at least the first if
-    z <= t_j, the second if z > t_{j+1} and the smaller of the two
-    otherwise. Summed over a group these minima bound its term on the
-    segment, and their least over segments bounds its least term. Each
-    segment's sums are taken cumulatively over the cells, so a group's sum
-    is the difference of two entries. The heads and tails of a K = 2
-    search alone take them one segment at a time, in O(m) memory; a K = 3
-    search and any other intervals take the table of all segments,
-    O(segments x m).
+    ``above`` below z for t in a segment [t_j, t_{j+1}] of a fixed grid on
+    [0, t_n]: on the segment at least ``below`` if z <= t_j, ``above`` if
+    z > t_{j+1} and the smaller of the two otherwise. Summed over a group
+    these minima bound its term on the segment, and their least over
+    segments bounds its least term. Each segment's sums are taken
+    cumulatively over the cells, so a group's sum is the difference of two
+    entries.
+
+    The knots cut z into bins. A cell's ``below`` sum on segment j is a
+    (bin x cell) histogram, one ``np.bincount``, cumulated over the bins up
+    to t_j. For SURE ``above`` is the s2 column (the term below z is
+    s2 t^2 >= s2 t_j^2): add t_j^2 times the cell's s2 total less its s2 over
+    the bins up to t_{j+1}, and the smaller of the two over the bin
+    (t_j, t_{j+1}] that straddles the segment, two histograms more. For the
+    realized loss ``above(t_j, t_{j+1}, i)`` bounds coordinates i.. on the
+    segment, a bincount per segment. Segments run in blocks of about
+    _CHUNK_ELEMENTS sums, each reading the z slice of its bins. A K = 2
+    search's heads and tails take one block at a time, a K = 3 search's
+    bounds the table of all blocks, O(segments x m); both agree bit for bit.
 
     With ``hybrid`` (SURE only) a group whose capped sum surely fires the
     hybrid rule has its exact term at t_n as its bound. "Surely" means with
@@ -440,23 +450,27 @@ class _IntervalBound:
         self.knots = np.linspace(0.0, ctx.t_n, _BOUND_SEGMENTS + 1)
         # the coordinates before first[j] have z <= t_j
         self.first = np.searchsorted(ctx.zs, self.knots, side="right")
+        self.step = max(1, _CHUNK_ELEMENTS // (m + 2))  # segments per block
         # Every term, bound and base sums values of magnitude at most
         # ``scale`` in all, and adding k such values in floating point errs by
         # at most k eps/2 scale. A total adds at most three terms (each from
         # prefix sums: n + 4 operations) to the base, so it errs by at most
-        # (n + 7) eps scale. A bound is the difference of two cumulative
-        # entries of at most n + m additions each, so it errs by at most
-        # (n + m + 1) eps scale. A pruned split or pair adds at most three
-        # bounds to the base (or one bound to exact terms), and a row's bound
-        # takes a few operations more, so those err by at most
-        # 3 (n + m + 2) eps scale. Both together are under 4 (n + m + 4) eps
-        # scale; the margin is twice that, which covers the window of a few
-        # eps scale in which the search counts totals as tied.
-        self.margin = 8.0 * (ctx.n + m + _BOUND_SEGMENTS) * np.finfo(float).eps * scale
+        # (n + 7) eps scale. A segment's cumulative entry (S segments) takes a
+        # value through at most n + m + S + 5 operations (its bin, S + 1 bins,
+        # the cell's sum, m + 1 cells) and sums at most 3 scale: t_j^2 s2 of a
+        # coordinate at or under t_{j+1} is in the cell's total and in the s2
+        # taken from it. A bound, the difference of two entries, thus errs by
+        # at most 3 (n + m + S + 6) eps scale. A pruned split or pair adds at
+        # most three bounds to the base (or one bound to exact terms), and a
+        # row's bound takes a few operations more: 9 (n + m + S + 7) eps scale
+        # at most. Both together are under 10 (n + m + S + 7) eps scale; the
+        # margin is twice that, which covers the window of a few eps scale in
+        # which the search counts totals as tied.
+        self.margin = 20.0 * (ctx.n + m + _BOUND_SEGMENTS + 7) * np.finfo(float).eps * scale
         self.hybrid = hybrid
-        if hybrid:
+        if hybrid:  # SURE: ``above`` is s2
             c = self.first[-1]
-            at_t_n = np.concatenate([below[:c], above(ctx.t_n, ctx.t_n, c)])
+            at_t_n = np.concatenate([below[:c], above[c:] * (ctx.t_n * ctx.t_n)])
             self.at_t_n, self.capped = self._cumulative(at_t_n), self._cumulative(ctx.capped)
             # The capped values are >= 0. The search sums a group's in z order
             # over at most n values, within n eps/2 of their sum T <= total;
@@ -472,41 +486,57 @@ class _IntervalBound:
         np.cumsum(np.bincount(self.cells, x, self.m + 1), out=out[1:])
         return out
 
-    def _segments(self):
-        """Each segment's cumulative sums over the cells, with a leading
-        zero, in one buffer that the next segment overwrites."""
-        m, cells, below, first, knots = self.m, self.cells, self.below, self.first, self.knots
-        under = np.zeros(m + 1)  # each cell's ``below`` over the coordinates z <= t_j
-        cum = np.zeros(m + 2)
-        done = 0
-        for j in range(_BOUND_SEGMENTS):
-            a, b = first[j], first[j + 1]
-            under += np.bincount(cells[done:a], below[done:a], m + 1)
-            done = a
-            d = self.above(knots[j], knots[j + 1], a)
-            np.minimum(d[:b - a], below[a:b], out=d[:b - a])
-            np.cumsum(under + np.bincount(cells[a:], d, m + 1), out=cum[1:])
-            yield cum
+    def _blocks(self):
+        """Each block of consecutive segments' cumulative sums over the
+        cells, with a leading zero: (segments of the block, m + 2)."""
+        m, cells, below, above, first = self.m, self.cells, self.below, self.above, self.first
+        under = s2_under = 0.0  # each cell's sums over the bins below a block
+        s2_total = None if callable(above) else np.append(0.0, np.bincount(cells, above, m + 1))
+        for j in range(0, _BOUND_SEGMENTS, self.step):
+            k = min(j + self.step, _BOUND_SEGMENTS)
+            # row i + 1 of a histogram is the bin (t_{j+i}, t_{j+i+1}], which
+            # straddles segment j + i; row 0 the carry and, first, z = 0
+            a, b, size = first[j] if j else 0, first[k], (k - j + 1) * (m + 2)
+            sizes = np.diff(first[j:k + 1], prepend=a)
+            key = np.repeat(np.arange(1, size, m + 2), sizes) + cells[a:b]  # column 0 is 0
+
+            def histogram(x):  # float even when the block holds no coordinate
+                return np.bincount(key, x, size).astype(float, copy=False).reshape(-1, m + 2)
+
+            low = histogram(below[a:b])
+            low[0] += under
+            np.cumsum(low, axis=0, out=low)
+            under = low[-1]
+            if callable(above):  # the realized loss, one segment at a time
+                block = np.zeros((k - j, m + 2))
+                for i in range(j, k):
+                    lo, hi = first[i], first[i + 1]
+                    d = above(self.knots[i], self.knots[i + 1], lo)
+                    np.minimum(d[:hi - lo], below[lo:hi], out=d[:hi - lo])
+                    block[i - j, 1:] = np.bincount(cells[lo:], d, m + 1)
+            else:
+                t2 = self.knots[j:k] * self.knots[j:k]
+                s2 = histogram(above[a:b])
+                s2[0] += s2_under
+                np.cumsum(s2, axis=0, out=s2)
+                s2_under = s2[-1].copy()
+                block = np.subtract(s2_total, s2[1:], out=s2[1:])
+                block *= t2[:, None]
+                t2 = np.repeat(np.append(0.0, t2), sizes)
+                block += histogram(np.minimum(below[a:b], above[a:b] * t2))[1:]
+            block += low[:-1]
+            np.cumsum(block, axis=1, out=block)
+            yield block
 
     @functools.cached_property
     def table(self) -> np.ndarray:
-        """Every segment's cumulative sums: (segments, m + 2)."""
-        table = np.empty((_BOUND_SEGMENTS, self.m + 2))
-        for j, cum in enumerate(self._segments()):
-            table[j] = cum
-        return table
+        """Every segment's cumulative sums: (segments, m + 2), all the blocks."""
+        return np.concatenate(list(self._blocks()))
 
     def __call__(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """The bound of the group on cells lo[i]..hi[i], for each i. Segments
-        run in blocks of _CHUNK_ELEMENTS differences."""
-        v = np.full(lo.size, np.inf)
-        step = max(1, _CHUNK_ELEMENTS // max(lo.size, 1))
-        for j in range(0, _BOUND_SEGMENTS, step):
-            cum = self.table[j:j + step]
-            diff = cum[:, hi + 1]
-            diff -= cum[:, lo]
-            np.minimum(v, diff.min(axis=0), out=v)
-        return self._finish(v, lo, hi)
+        """The bound of the group on cells lo[i]..hi[i], for each i; the
+        reference that ``ends``, ``row`` and ``rows`` are checked against."""
+        return self._finish((self.table[:, hi + 1] - self.table[:, lo]).min(axis=0), lo, hi)
 
     def _finish(self, v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The segment bounds ``v`` of the groups lo[i]..hi[i] with the hybrid
@@ -525,19 +555,16 @@ class _IntervalBound:
     def ends(self, table: bool = False) -> tuple:
         """(head, tail): for each split b = 0..m-1 the bound of cells 0..b and
         that of cells b+1..m. With ``table`` they are read from the table of
-        all segments (built here), else taken one segment at a time in O(m)
-        memory."""
+        all segments (built here), else taken one block at a time; minima
+        are exact, so the two agree bit for bit."""
         m = self.m
-        head, tail = np.full(m, np.inf), np.full(m, np.inf)
-        for cum in self.table if table else self._segments():
-            if self.head_column is None:
-                np.minimum(head, cum[1:m + 1], out=head)
-            np.minimum(tail, cum[m + 1] - cum[1:m + 1], out=tail)
+        head = tail = np.inf
+        for cum in [self.table] if table else self._blocks():
+            head = np.minimum(head, cum[:, 1:m + 1].min(axis=0))
+            tail = np.minimum(tail, (cum[:, m + 1:] - cum[:, 1:m + 1]).min(axis=0))
         b = np.arange(m)
-        if self.head_column is None:
-            head = self._finish(head, np.zeros(m, dtype=int), b)
-        else:
-            head = self._cumulative(self.head_column)[1:m + 1]
+        head = (self._finish(head, np.zeros(m, dtype=int), b) if self.head_column is None
+                else self._cumulative(self.head_column)[1:m + 1])
         return head, self._finish(tail, b + 1, np.full(m, m))
 
     def row(self, a: int) -> np.ndarray:
@@ -554,17 +581,17 @@ class _IntervalBound:
         segment, the least cum[b+1] + last[b] over b from a (or from the
         first cell >= a holding a coordinate, when empty groups are
         skipped), less cum[a]."""
-        m = self.m
+        m, table = self.m, self.table  # built here: the rows' pairs use it next
         start = np.arange(1, m)
         if self.skip_empty:
             held = np.append(np.flatnonzero(np.diff(self.count) > 0), m)
             start = held[np.searchsorted(held, start)]
-        low = np.full(m - 1, np.inf)
-        suffix = np.full(m + 1, np.inf)
-        for cum in self.table:  # built here: the rows' pairs use it next
-            np.add(cum[1:m + 1], last[:m], out=suffix[:m])
-            np.minimum.accumulate(suffix[m - 1::-1], out=suffix[m - 1::-1])
-            np.minimum(low, suffix[start] - cum[1:m], out=low)
+        low = np.inf
+        for j in range(0, _BOUND_SEGMENTS, self.step):  # a block of the table at a time
+            cum = table[j:j + self.step]
+            suffix = np.pad(cum[:, 1:m + 1] + last[:m], ((0, 0), (0, 1)), constant_values=np.inf)
+            np.minimum.accumulate(suffix[:, ::-1], axis=1, out=suffix[:, ::-1])
+            low = np.minimum(low, (suffix[:, start] - cum[:, 1:m]).min(axis=0))
         return first[:m - 1] + low
 
 
@@ -593,26 +620,24 @@ def _loss_bound(cut: _Cut) -> _IntervalBound:
 def _sure_bound(cut: _Cut, hybrid: bool, screen: bool = False) -> _IntervalBound:
     """The interval bound of a SURE cut. A coordinate's term is
     s2 (z^2 - 2) at thresholds t >= z and s2 t^2 below z: on [t_j, t_{j+1}]
-    at least s2 t_j^2. With ``screen`` a K = 2 split's first group is
-    screened (``_screen_cut``): its term is s2 (z^2 - 2) at every threshold,
-    and that column's cumulative sum over the cells bounds it exactly."""
+    at least s2 t_j^2. So ``above`` is the s2 column, and each segment's sums
+    take ``_IntervalBound``'s closed form over bins of z. With ``screen`` a
+    K = 2 split's first group is screened (``_screen_cut``): its term is
+    s2 (z^2 - 2) at every threshold, and that column's cumulative sum over
+    the cells bounds it exactly."""
     ctx = cut.ctx
     below = ctx.s2z2 - 2.0 * ctx.s2s
-
-    def above(lo: float, hi: float, i: int) -> np.ndarray:
-        return ctx.s2s[i:] * (lo * lo)
-
     # a coordinate's term is at most s2 (t_n^2 + 2) in magnitude, and the
     # base is the sum of s2
     scale = (ctx.t_n**2 + 3.0) * ctx.s2_total
     if not screen:
-        return _IntervalBound(cut, below, above, scale, hybrid)
+        return _IntervalBound(cut, below, ctx.s2s, scale, hybrid)
     # A screened coordinate's term s2 (z^2 - 2) is not limited by t_n. A
     # total or bound sums kept terms, screened terms and the base, so its
     # values have magnitude at most the scale above plus the sum of
     # s2 |z^2 - 2| in all, and the margin's derivation holds with that scale.
     scale += float(np.abs(below).sum())
-    return _IntervalBound(cut, below, above, scale, hybrid, head_column=below)
+    return _IntervalBound(cut, below, ctx.s2s, scale, hybrid, head_column=below)
 
 
 def _within(ctx: _SortedBatch, cells: np.ndarray, lo: int, hi: int) -> tuple:
@@ -855,8 +880,8 @@ def _pruned(cut: _Cut, ks) -> _Cut:
     and then visited least bound first to find the pair with the least
     bound. The pairs within the margin have their head and tail scored, and
     only those still within it with these exact terms have their middle
-    group scored. A search of K = 2 alone takes its bounds one segment at a
-    time, with no table.
+    group scored. A search of K = 2 alone takes its bounds one block of
+    segments at a time, with no table.
     """
     m, base = cut.m, cut.base
     bound = cut.bound(cut)
@@ -952,8 +977,9 @@ def _sure_cut(batch: DataBatch, grid: np.ndarray, hybrid: bool, k_max: int = 2) 
 
 def _loss_cut(batch: DataBatch, side: np.ndarray, grid: np.ndarray) -> _Cut:
     """The realized-loss terms of the groups on ``grid`` over ``side``, with
-    their interval bound. A row whose loss columns overflow is rejected:
-    masked out of a group by 0, its inf would make the group's sums NaN."""
+    their interval bound. A row whose loss columns overflow is rejected, as
+    is a column whose sum does: masked out of a group by 0, an inf would make
+    the group's sums NaN, and an infinite sum would make them inf."""
     ctx = _SortedBatch(batch, side, loss=True)
     _reject_overflow(batch, ctx.loss_columns, "the realized loss")
     return _Cut(ctx, grid, _min_loss_threshold, _min_loss_threshold, 0.0, bound=_loss_bound)
@@ -974,11 +1000,15 @@ def _screen_cut(batch: DataBatch, mn_factor: float = 50.0) -> _Cut:
 
 def _reject_overflow(batch: DataBatch, columns, what: str) -> None:
     """Raise ValueError naming the first row of ``batch`` at which one of
-    ``columns``, z-sorted columns of its ``_SortedBatch``, is not finite."""
+    ``columns``, z-sorted columns of its ``_SortedBatch``, is not finite, or
+    saying that one's sum of magnitudes, which bounds every sum of it, is not."""
     bad = ~np.isfinite(np.stack(columns)).all(axis=0)
     if bad.any():
         row = np.argsort(np.abs(batch.y) / batch.sigma, kind="stable")[bad].min()
         raise ValueError(f"{what} overflows at row {row}: |y|, sigma or theta is too large")
+    with np.errstate(over="ignore"):
+        if not all(math.isfinite(np.abs(col).sum()) for col in columns):
+            raise ValueError(f"{what} overflows summed over rows: |y|, sigma or theta too large")
 
 
 def _fit_grid(s: np.ndarray, k: int, mn_factor: float) -> np.ndarray:

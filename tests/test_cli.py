@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import warnings
 
@@ -100,6 +101,46 @@ class TestReadBatchCsv:
         with pytest.raises(ValueError, match=":2:"):
             read_batch_csv(path)
 
+    def test_bad_value_after_blank_lines_reports_its_file_line(self, tmp_path):
+        # blank lines are skipped, but they still count as lines of the file
+        path = tmp_path / "b.csv"
+        path.write_text("id,y,s\n\n\na,1.0,x\n")
+        with pytest.raises(ValueError, match=r"b\.csv:4: bad row"):
+            read_batch_csv(path)
+
+    def test_row_after_a_multiline_id_reports_its_file_line(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text('id,y,s\n"two\nlines",1.0,0.5\nb,x,0.1\n')
+        with pytest.raises(ValueError, match=r"b\.csv:4: bad row"):
+            read_batch_csv(path)
+
+    def test_short_row_reads_missing_cells_as_empty(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text("id,y,s\na,1.0,0.5\nb,2.0\n")
+        with pytest.raises(ValueError,
+                           match=r":3: bad row \(could not convert string to float: ''\)"):
+            read_batch_csv(path)
+
+    def test_short_row_leaves_its_optional_cells_empty(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text("id,y,s,theta\na,1.0,0.5\nb,2.0,0.1\n")
+        batch, ids = read_batch_csv(path)
+        assert ids == ["a", "b"] and batch.theta is None
+        path.write_text("id,y,s,theta\na,1.0,0.5,0.3\nb,2.0,0.1\n")
+        with pytest.raises(ValueError, match=r":3: column 'theta' is empty"):
+            read_batch_csv(path)
+
+    def test_first_bad_row_in_file_order(self, tmp_path):
+        # a bad s on line 2 comes before a bad y on line 3, and a bad cell
+        # before a longer row
+        path = tmp_path / "b.csv"
+        path.write_text("id,y,s\na,1.0,x\nb,y,0.5\n")
+        with pytest.raises(ValueError, match=r":2: bad row \(.*'x'\)"):
+            read_batch_csv(path)
+        path.write_text("id,y,s\na,1.0,x\nb,2.0,0.5,9\n")
+        with pytest.raises(ValueError, match=r":2: bad row"):
+            read_batch_csv(path)
+
     def test_optional_latent_columns(self, tmp_path):
         path = tmp_path / "b.csv"
         write_batch_csv(
@@ -156,6 +197,25 @@ class TestEstimate:
         assert rc1 == rc2 == 0
         assert out2.read_bytes() == data1
         assert rep2.read_bytes() == report1
+
+    def test_ids_are_quoted_as_csv_writer_quotes_them(self, toy_csv, tmp_path):
+        # the ids do not change the fit: the file is that of the plain ids
+        # with each row's cells written by csv.writer
+        rc, out, _ = self.run(toy_csv, tmp_path, "--method", "sureshrink")
+        plain = out.read_text(encoding="utf-8").splitlines()
+        with open(toy_csv, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        ids = ["a,b", 'say "hi"', "two\nlines", "", " lead"]
+        for row, ident in zip(rows, ids):
+            row[0] = ident
+        write_batch_csv(toy_csv, rows)
+        rc, out, _ = self.run(toy_csv, tmp_path, "--method", "sureshrink")
+        assert rc == 0
+        want = io.StringIO()
+        w = csv.writer(want, lineterminator="\n")
+        w.writerow(plain[0].split(","))
+        w.writerows([row[0], *line.split(",")[1:]] for row, line in zip(rows, plain[1:]))
+        assert out.read_text(encoding="utf-8") == want.getvalue()
 
     def test_asus_k1_equals_sureshrink(self, toy_csv, tmp_path):
         _, out_a, rep_a = self.run(toy_csv, tmp_path, "--method", "asus", "--k", "1")

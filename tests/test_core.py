@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from auxshrink import (
     DataBatch,
     HyperParams,
     apply_estimator,
+    fit_asus,
     loss,
     partition,
     soft_estimate,
@@ -158,6 +160,26 @@ class TestLoss:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             loss([1.0], [1.0, 2.0])
+
+    def test_overflow_is_named(self):
+        # each entry is finite, the square of 1e160 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the loss overflows"):
+                loss([0.0, 0.0], [1e160, 1.0])
+            with pytest.raises(ValueError, match="^the loss overflows"):
+                loss([-1e308, 0.0], [1e308, 0.0])  # the difference overflows too
+
+    def test_fit_whose_loss_overflows_is_named(self):
+        # the fit keeps y = 1e160 (far above t_n), and its realized loss overflows
+        b = make_batch(np.random.default_rng(41), 200)
+        y = b.y.copy()
+        y[3] = 1e160
+        batch = DataBatch(y=y, sigma=b.sigma, s=b.s, theta=np.zeros(200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the loss overflows"):
+                fit_asus(batch)
 
 
 class TestApplyEstimator:

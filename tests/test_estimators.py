@@ -260,6 +260,20 @@ class TestOverflowingRow:
             with pytest.raises(ValueError, match="^the realized loss overflows at row 7:"):
                 fit_oracle_loss(dataclasses.replace(b, theta=theta))
 
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_loss_whose_sum_overflows_is_named(self, k):
+        """300 of 400 rows at y = 1e153: each square is finite, their sum is
+        not, and neither would be a group's sums or the bound's scale."""
+        rng = np.random.default_rng(63)
+        y = rng.standard_normal(400)
+        y[:300] = 1e153
+        b = DataBatch(y=y, sigma=np.ones(400), s=rng.standard_normal(400), theta=np.zeros(400))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^the realized loss overflows summed over rows"):
+                fit_oracle_loss(b, SearchConfig(k=k))
+
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_sure_fits_still_fit(self, k):
         """A SURE term reads s2 z^2 only up to t_n, so the fit is that of the

@@ -82,7 +82,7 @@ def assert_bound_holds(cut) -> None:
     np.testing.assert_array_equal(np.isfinite(lower), np.isfinite(exact))
     assert bound.margin < 1e-6
     # the prune's heads, tails and rows are these bounds, bit for bit,
-    # whether read from the table or taken one segment at a time
+    # whether read from the table or taken one block at a time
     for got, want in zip(bound.ends(), bound.ends(table=True)):
         np.testing.assert_array_equal(got, want)
     b = np.arange(cut.m)
@@ -174,6 +174,27 @@ def test_bound_holds_on_a_group_at_the_hybrid_bound(seed):
     assert_bound_holds(cut_of(batch, "sure-hybrid", tau_grid(batch.s, 1.0)))
 
 
+def knot_batch() -> tuple:
+    """(batch, mn_factor): z values exactly on the bound's knots t_j and at 0,
+    the bin edges that searchsorted(..., "right") decides, beside signals and
+    noise; sigma = 1, so z = |y| exactly, and theta is given for the loss."""
+    n = 400
+    knots = np.linspace(0.0, universal_threshold(n), tuner._BOUND_SEGMENTS + 1)
+    rng = np.random.default_rng(17)
+    z = np.concatenate([knots, np.zeros(40), rng.choice(knots, 100),
+                        np.abs(rng.normal(0.0, 3.0, n - knots.size - 140))])
+    y = z * rng.choice([-1.0, 1.0], n)
+    theta = np.where(rng.random(n) < 0.3, y, 0.0)
+    s = np.abs(theta) + rng.normal(0.0, 0.5, n)
+    return DataBatch(y=y, sigma=np.ones(n), s=s, theta=theta), 2.5
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_bound_never_exceeds_the_exact_term_with_z_on_the_knots(objective):
+    batch, mn_factor = knot_batch()
+    assert_bound_holds(cut_of(batch, objective, tau_grid(batch.s, mn_factor)))
+
+
 def assert_pruned_searches_match(batch: DataBatch, mn_factor: float) -> None:
     grid = _fit_grid(batch.s, 3, mn_factor)
     for hybrid in (True, False):
@@ -209,12 +230,32 @@ DESIGNED = {
     "zero-y": zero_y_batch,
     "designed-tie": designed_tie_batch,
     "slack": lambda: (slack_batch(1)[0], 1.0),
+    "knots": knot_batch,
 }
 
 
 @pytest.mark.parametrize("name", DESIGNED)
 def test_pruned_k3_searches_equal_the_full_search_on_designed_batches(name):
     assert_pruned_searches_match(*DESIGNED[name]())
+
+
+@pytest.mark.parametrize("name", ["knots", "zero-y", "continuous"])
+def test_sure_table_sums_each_coordinates_segment_minimum(name):
+    """The closed form over bins equals, up to rounding, each segment's sum of
+    every coordinate's own minimum: s2 (z^2 - 2) at z <= t_j, s2 t_j^2 at
+    z > t_{j+1} and the smaller of the two between, the bins decided by
+    comparing z with the knots directly."""
+    batch, mn_factor = DESIGNED[name]()
+    cut = cut_of(batch, "sure-plain", tau_grid(batch.s, mn_factor))
+    bound, ctx = cut.bound(cut), cut.ctx
+    knots = np.linspace(0.0, ctx.t_n, tuner._BOUND_SEGMENTS + 1)
+    below = ctx.s2s * (ctx.zs**2 - 2.0)
+    for j, got in enumerate(bound.table):
+        above = ctx.s2s * knots[j] ** 2
+        least = np.where(ctx.zs <= knots[j], below,
+                         np.where(ctx.zs > knots[j + 1], above, np.minimum(below, above)))
+        want = np.concatenate([[0.0], np.cumsum(np.bincount(cut.cells, least, cut.m + 1))])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=bound.margin)
 
 
 def test_select_k_is_pruned(monkeypatch):

@@ -13,6 +13,7 @@ from auxshrink import (
     gen_two_sample,
     generate,
     run_risk_experiment,
+    select_k,
     sim,
 )
 
@@ -308,7 +309,7 @@ def test_side_oracle_add_stays_small(spec):
 
 
 def test_oracle_loss_fit_stays_small():
-    # the bound one segment at a time, then the unpruned splits' masked rows
+    # the bound a block of segments at a time, then the unpruned splits' masked rows
     batch = generate(ScenarioSpec(family="two-sample-s2", n=5000))
     sim.fit_oracle_loss(batch)
     tracemalloc.start()
@@ -318,6 +319,21 @@ def test_oracle_loss_fit_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_k3_selection_stays_small():
+    # the bound table (129 x m floats) built and its row bounds reduced a
+    # block of segments at a time, then the kept groups' masked rows: about
+    # 1.0 MB; reducing the whole table at once took 1.2 MB
+    batch = generate(ScenarioSpec(family="two-sample-s2", n=5000))
+    select_k(batch, 3)
+    tracemalloc.start()
+    try:
+        select_k(batch, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_100_000
 
 
 def test_generate_dispatch_covers_all_families():
