@@ -34,7 +34,7 @@ from .estimators import fit_auxscr, fit_ejs
 from .tuner import fit_asus
 
 DEFAULT_ESTIMATORS = ("oracle", "asus", "aux-scr", "sureshrink")
-_QUOTED = frozenset(',"\r\n')  # what csv.writer may quote a cell for
+_QUOTED = frozenset(',"\r\n')  # what an id is quoted for
 CONFIG_REQUIRED = ("scenario", "n", "reps", "seed")
 # what each simulate config key must hold; a JSON bool is no integer
 CONFIG_TYPES = {
@@ -171,8 +171,10 @@ def cmd_estimate(args) -> int:
         "hybrid": bool(args.hybrid),
     }
     # cells formatted from Python floats: the same bytes as from numpy
-    # scalars; an id is quoted where csv.writer would quote it
-    ids = [i if _QUOTED.isdisjoint(i) else _csv([i, ""], ())[:-2] for i in ids]
+    # scalars. An id holding a character of _QUOTED is quoted, its quotes
+    # doubled: csv.writer (lineterminator "\n") leaves a lone CR bare, and
+    # that file would not read back
+    ids = [i if _QUOTED.isdisjoint(i) else '"%s"' % i.replace('"', '""') for i in ids]
     cells = zip(ids, batch.y.tolist(), batch.sigma.tolist(), batch.s.tolist(),
                 fr.theta_hat.tolist(), groups.tolist())
     estimates = "id,y,sigma,s,theta_hat,group\n" + "".join(

@@ -15,9 +15,9 @@ terms over cells into the exact minimizer for every K, as in optimal
 partitioning (Jackson et al. 2005, "An algorithm for optimal partitioning of
 data on an interval"): a forward pass finds the least objective, a backward
 pass bounds what each partial sum may be and still reach it, and a greedy
-pass then picks the lexicographically smallest breakpoints. Its cost grows
-with the square of the number of nonempty cells, not with the C(m, K-1)
-breakpoint vectors.
+pass then picks the lexicographically smallest breakpoints. All three read
+the same terms, each group scored once. Its cost grows with the square of
+the number of nonempty cells, not with the C(m, K-1) breakpoint vectors.
 
 ``_search`` first rules groups out when the cut carries a bound and the
 largest K it searches is 2 or 3, as pruning does in optimal partitioning
@@ -31,9 +31,10 @@ breakpoints (K = 3) by the bounds of its head, middle and tail groups, takes
 the exact total of the one with the least bound, and scores exactly only the
 groups that a split or pair still within a rounding margin of that total
 needs; a K = 3 pair is bounded again with its exact head and tail before its
-middle group is scored. The others cannot reach the minimum or tie with it,
-so the fit is bit for bit that of scoring every group. The loss and
-screening cuts always carry their bound, so the K = 2 searches of
+middle group is scored. It returns those terms, +inf elsewhere, and the
+search runs on them: the splits and pairs left out cannot reach the minimum
+or tie with it, so the fit is bit for bit that of scoring every group. The
+loss and screening cuts always carry their bound, so the K = 2 searches of
 ``fit_oracle_loss``, ``fit_oracle_side`` and ``fit_auxscr`` (whose screened
 group's bound is its exact per-cell sum) and ``fit_oracle_loss`` at K = 3
 are pruned. A SURE cut carries it only for a largest K of 3
@@ -120,9 +121,13 @@ class SearchConfig:
     hybrid: bool = True
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("K must be at least 1")
+        _check_k(self.k, "k")
         _check_mn_factor(self.mn_factor)
+
+
+def _check_k(k, name: str) -> None:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, not {k!r}")
 
 
 def _check_mn_factor(mn_factor: float) -> None:
@@ -182,7 +187,9 @@ def tau_grid(s, mn_factor: float = 50.0) -> np.ndarray:
 
 def threshold_candidates(z, t_n: float) -> np.ndarray:
     """Candidate thresholds for one group: {0} | {z_i <= t_n} | {t_n}, sorted."""
-    z = np.asarray(z, dtype=float)
+    z = _finite_vector(z, "z")
+    if np.any(z < 0):
+        raise ValueError("z must hold magnitudes |y|/sigma >= 0")
     inside = z[z <= t_n]
     return np.unique(np.concatenate([[0.0], inside, [t_n]]))
 
@@ -665,10 +672,10 @@ class _Cut:
     of every first group (cells 0..b, b = 0..m) and every last group (cells
     a..m, a = 1..m), each computed on first use. ``first`` fits the first
     group and ``rest`` the others; with ``skip_empty`` an empty group's term
-    is +inf. ``bound``, when given, maps the cut to its ``_IntervalBound``,
-    with which ``_search`` prunes when its largest K is 2 or 3. ``middle``
-    holds the first cells a of the middle groups a search visits. The cut
-    builders are ``_sure_cut``, ``_loss_cut`` and ``_screen_cut``."""
+    is +inf. ``row(a)`` scores the middle groups a..b, b = a..m-1.
+    ``bound``, when given, maps the cut to its ``_IntervalBound``, with
+    which ``_search`` prunes when its largest K is 2 or 3. The cut builders
+    are ``_sure_cut``, ``_loss_cut`` and ``_screen_cut``."""
 
     def __init__(self, ctx: _SortedBatch, grid: np.ndarray, first, rest, base: float,
                  skip_empty: bool = True, bound=None):
@@ -682,7 +689,6 @@ class _Cut:
         self.bound = bound
         self.cells = np.searchsorted(grid, ctx.side, side="left")
         self.count = np.concatenate([[0], np.cumsum(np.bincount(self.cells, minlength=m + 1))])
-        self.middle = range(1, m)
 
     @functools.cached_property
     def head(self) -> tuple:
@@ -802,31 +808,32 @@ def _search(cut: _Cut, ks) -> dict:
     K - 1 breakpoints, K thresholds and K group sizes. A K above m+1 cannot
     take K-1 of the m grid points and is dropped first.
 
-    Every search runs here. When the cut carries a bound and the largest K
-    left is 2 or 3, it runs on ``_pruned(cut, ks)``, bit for bit the same.
+    Every search runs here, on the (t, v) terms of the first groups, of the
+    last groups and of the rows of ``middle``, a mapping a -> groups a..b,
+    b = a..m-1. When the cut carries a bound and the largest K left is 2 or
+    3 they are what ``_pruned(cut, ks)`` keeps, bit for bit the same fits;
+    else ``cut.head``, ``cut.tail`` and, from K = 3 on, every ``cut.row(a)``,
+    each scored once and read by all three passes.
 
     Ties go to the lexicographically smallest breakpoints. Rounding of
     x + c and of x / n is monotone in x, so the least partial sums give the
     least value (forward pass), and from the largest sum that still reaches
     it each state gets the largest partial sum that can (backward pass). The
     greedy pass then takes at each step the smallest breakpoint within that
-    bound. Middle groups exist from K = 3 on. Each pass visits the rows of
-    ``cut.middle`` only (every row of a full cut), so a row whose terms are
-    all +inf, which changes no partial sum and no limit, may be left out.
-    A full cut computes a row's terms again in each pass rather than hold
-    them; ``_pruned`` holds the few it keeps.
+    bound. A row absent from ``middle`` is all +inf: it changes no partial
+    sum and no limit, and the greedy pass never reaches it.
     """
     m, n, base = cut.m, cut.ctx.n, cut.base
     ks = [k for k in ks if k <= m + 1]
     kmax = max(ks, default=1)
     if cut.bound is not None and kmax in (2, 3):
-        cut = _pruned(cut, ks)
-    head_t, head_v = cut.head
-    tail_t, tail_v = cut.tail
+        (head_t, head_v), (tail_t, tail_v), middle = _pruned(cut, ks)
+    else:
+        (head_t, head_v), (tail_t, tail_v) = cut.head, cut.tail
+        middle = {a: cut.row(a) for a in range(1, m)} if kmax > 2 else {}
     # part[k][b]: least sum of base and k groups covering cells 0..b
     part = [None, base + head_v[:m]] + [np.full(m, np.inf) for _ in range(2, kmax)]
-    for a in cut.middle if kmax > 2 else ():
-        row = cut.row(a)[1]
+    for a, (_, row) in middle.items():
         for k in range(2, kmax):
             np.minimum(part[k][a:], part[k - 1][a - 1] + row, out=part[k][a:])
     best = {1: base + head_v[m]}
@@ -841,8 +848,7 @@ def _search(cut: _Cut, ks) -> dict:
         if k > 1:
             limit[k] = ([None] + [np.full(m, -np.inf) for _ in range(1, k - 1)]
                         + [_largest_addend(tail_v, _largest_total(best[k], n))])
-    for a in reversed(cut.middle) if max(limit, default=0) > 2 else ():
-        row = cut.row(a)[1]
+    for a, (_, row) in reversed(middle.items()) if max(limit, default=0) > 2 else ():
         for k, lim in limit.items():
             for g in range(1, k - 1):
                 lim[g][a - 1] = np.max(_largest_addend(row, lim[g + 1][a:]))
@@ -850,7 +856,7 @@ def _search(cut: _Cut, ks) -> dict:
     for k in ks:
         total, prev, idx, ts = base, -1, [], []
         for g in range(1, k):
-            row_t, row_v = (head_t[:m], head_v[:m]) if g == 1 else cut.row(prev + 1)
+            row_t, row_v = (head_t[:m], head_v[:m]) if g == 1 else middle[prev + 1]
             cand = total + row_v
             j = int(np.argmax(cand <= limit[k][g][prev + 1:]))
             total = cand[j]
@@ -863,12 +869,12 @@ def _search(cut: _Cut, ks) -> dict:
     return fits
 
 
-def _pruned(cut: _Cut, ks) -> _Cut:
-    """A copy of ``cut`` for the search of the K in ``ks`` (each at most 3)
-    that holds exact terms only where K = 1, a split (K = 2) or a pair of
+def _pruned(cut: _Cut, ks) -> tuple:
+    """The terms (head, tail, middle) ``_search`` runs on for the K in ``ks``
+    (each at most 3): exact only where K = 1, a split (K = 2) or a pair of
     breakpoints (K = 3) whose lower bound can still reach that K's least
-    total needs them, and +inf (as for a group that is empty) elsewhere; its
-    ``middle`` lists the rows a that keep a pair, and it has no bound.
+    total needs them, +inf (as for an empty group) elsewhere, and with
+    ``middle`` holding, a ascending, only the rows a that keep a pair.
 
     A K = 3 total is (base + head term of cells 0..a-1) + the term of cells
     a..b + the tail term of cells b+1..m, and a K = 2 total has no middle
@@ -895,9 +901,6 @@ def _pruned(cut: _Cut, ks) -> _Cut:
         head_t[heads], head_v[heads] = cut.terms(cut.first, np.zeros(heads.size, dtype=int), heads)
         tail_t[tails], tail_v[tails] = cut.terms(cut.rest, tails + 1, np.full(tails.size, m))
 
-    pruned = copy.copy(cut)
-    pruned.head, pruned.tail, pruned.middle = (head_t, head_v), (tail_t, tail_v), []
-    pruned.bound = None
     none = np.empty(0, dtype=int)
     # the split and the pair (a, b) with the least bound
     lower = head + tail
@@ -937,23 +940,19 @@ def _pruned(cut: _Cut, ks) -> _Cut:
     del bound  # its table is not needed while scoring
     score(np.setdiff1d(np.concatenate([[m] if 1 in ks else none, kept, lo - 1]), heads),
           np.setdiff1d(np.concatenate([kept, hi]), tails))
-    if not lo.size:
-        return pruned
-    # the pairs still within the limit with their exact heads and tails
-    kept = base + head_v[lo - 1] + mid + tail_v[hi] <= limit
-    lo, hi = lo[kept], hi[kept]
-    t, v = cut.terms(cut.rest, lo, hi)
-    starts = np.searchsorted(lo, np.arange(m + 1))
-
-    def row(a: int) -> tuple:
-        kept = slice(starts[a], starts[a + 1])
-        row_t, row_v = np.zeros(m - a), np.full(m - a, np.inf)
-        row_t[hi[kept] - a], row_v[hi[kept] - a] = t[kept], v[kept]
-        return row_t, row_v
-
-    pruned.row = row
-    pruned.middle = np.unique(lo).tolist()
-    return pruned
+    middle = {}
+    if lo.size:
+        # the pairs still within the limit with their exact heads and tails
+        kept = base + head_v[lo - 1] + mid + tail_v[hi] <= limit
+        lo, hi = lo[kept], hi[kept]
+        t, v = cut.terms(cut.rest, lo, hi)
+        starts = np.searchsorted(lo, np.arange(m + 1))
+        for a in np.unique(lo).tolist():
+            kept = slice(starts[a], starts[a + 1])
+            row_t, row_v = np.zeros(m - a), np.full(m - a, np.inf)
+            row_t[hi[kept] - a], row_v[hi[kept] - a] = t[kept], v[kept]
+            middle[a] = row_t, row_v
+    return (head_t, head_v), (tail_t, tail_v), middle
 
 
 def _sure_cut(batch: DataBatch, grid: np.ndarray, hybrid: bool, k_max: int = 2) -> _Cut:
@@ -1108,8 +1107,7 @@ def select_k(
     heuristic is reported alongside: the last K whose SURE improvement over
     K-1 is at least 5% relative.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    _check_k(k_max, "k_max")
     _check_mn_factor(mn_factor)
     grid = _fit_grid(batch.s, k_max, mn_factor)
     if k_max > grid.size + 1:  # every K up to grid.size + 1 fits: no cell is empty

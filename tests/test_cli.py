@@ -217,6 +217,21 @@ class TestEstimate:
         w.writerows([row[0], *line.split(",")[1:]] for row, line in zip(rows, plain[1:]))
         assert out.read_text(encoding="utf-8") == want.getvalue()
 
+    def test_ids_holding_a_carriage_return_read_back(self, toy_csv, tmp_path):
+        # csv.writer with lineterminator "\n" would leave a lone CR bare
+        with open(toy_csv, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        ids = ["cr\rin", 'say "cr"\r', "\r", "crlf\r\nx"]
+        for row, ident in zip(rows, ids):
+            row[0] = ident
+        write_batch_csv(toy_csv, rows)
+        rc, out, _ = self.run(toy_csv, tmp_path, "--method", "sureshrink")
+        assert rc == 0
+        assert out.read_bytes().split(b"\n")[1].startswith(b'"cr\rin",')
+        batch, got = read_batch_csv(out)
+        assert got == [row[0] for row in rows]
+        np.testing.assert_array_equal(batch.y, [float(row[1]) for row in rows])
+
     def test_asus_k1_equals_sureshrink(self, toy_csv, tmp_path):
         _, out_a, rep_a = self.run(toy_csv, tmp_path, "--method", "asus", "--k", "1")
         est_a = out_a.read_text()

@@ -17,7 +17,16 @@ import numpy as np
 import pytest
 
 import brute_force
-from auxshrink import DataBatch, SearchConfig, fit_asus, fit_oracle_loss, universal_threshold
+from auxshrink import (
+    DataBatch,
+    ScenarioSpec,
+    SearchConfig,
+    fit_asus,
+    fit_oracle_loss,
+    generate,
+    select_k,
+    universal_threshold,
+)
 from auxshrink.tuner import (
     _Cut,
     _fit_grid,
@@ -27,7 +36,7 @@ from auxshrink.tuner import (
     _SortedBatch,
 )
 
-K_VALUES = (1, 2, 3, 4)
+K_VALUES = (1, 2, 3, 4, 5)
 OBJECTIVES = ("sure-hybrid", "sure-plain", "oracle-loss")
 
 
@@ -221,3 +230,21 @@ def test_group_at_the_hybrid_bound_matches_enumeration(seed):
     batch, _ = hybrid_bound_batch(seed)
     for k in (1, 2, 3):
         assert_same(searched(batch, "sure-hybrid", k, 1.0), enumerated(batch, "sure-hybrid", k, 1.0))
+
+
+def test_full_search_scores_each_middle_group_once(monkeypatch):
+    """An unpruned search (``select_k(k_max=4)``) scores each middle group
+    a..b, 0 < a <= b < m, once, and its three passes read the held rows."""
+    batch = generate(ScenarioSpec(family="two-sample-s2", n=1000, seed=1))
+    m = _fit_grid(batch.s, 4, 50.0).size
+    scored = []
+    terms = _Cut.terms
+
+    def counting(self, term, lo, hi, within=None):
+        middle = (lo > 0) & (hi < self.m)
+        scored.extend(zip(lo[middle].tolist(), hi[middle].tolist()))
+        return terms(self, term, lo, hi, within)
+
+    monkeypatch.setattr(_Cut, "terms", counting)
+    select_k(batch, 4)
+    assert len(scored) == len(set(scored)) == m * (m - 1) // 2 == 16110

@@ -336,6 +336,22 @@ def test_k3_selection_stays_small():
     assert peak < 1_100_000
 
 
+def test_k4_selection_stays_small():
+    # an unpruned search holds each middle row's terms once, about 0.25 MB
+    # for m = 166, and scores them in chunks: 0.53-0.65 MB on two-sample-s2
+    # (seeds 0-5) and one-sample-s1 (seeds 1-5); holding an m x m table of
+    # terms and thresholds would add 0.4 MB
+    batch = generate(ScenarioSpec(family="two-sample-s2", n=1000))
+    select_k(batch, 4)
+    tracemalloc.start()
+    try:
+        select_k(batch, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 750_000
+
+
 def test_generate_dispatch_covers_all_families():
     specs = [
         ScenarioSpec(family="one-sample-s1", n=600, m=10, aux_variant=1, seed=1),

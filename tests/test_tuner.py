@@ -86,6 +86,15 @@ class TestThresholdCandidates:
             threshold_candidates([0.5, 3.0], 2.0), [0.0, 0.5, 2.0]
         )
 
+    @pytest.mark.parametrize("z, match", [
+        ([np.nan, 1.0, 0.5], "^z is not finite at index 0: nan$"),
+        ([0.5, np.inf], "^z is not finite at index 1: inf$"),
+        ([0.5, -1.0], r"^z must hold magnitudes \|y\|/sigma >= 0$"),
+    ])
+    def test_bad_magnitudes_rejected(self, z, match):
+        with pytest.raises(ValueError, match=match):
+            threshold_candidates(z, 2.0)
+
     def test_candidate_minimum_matches_dense_grid(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -180,6 +189,25 @@ class TestFitAsus:
         r = fit_asus(b, SearchConfig(k=3, mn_factor=3))
         assert r.group_sizes.sum() == b.n
         assert np.all(r.group_sizes > 0)
+
+    @pytest.mark.parametrize("k", [True, False, 2.5, 3.0, "2", None])
+    def test_k_that_is_not_an_integer_rejected(self, k):
+        with pytest.raises(ValueError, match="^k must be an integer of at least 1, not "):
+            SearchConfig(k=k)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^k must be an integer of at least 1, not 0$"):
+            SearchConfig(k=0)
+
+    def test_numpy_integer_k_fits_as_the_int(self):
+        rng = np.random.default_rng(44)
+        b = random_batch(rng, 120)
+        for k in (1, 3):
+            want = fit_asus(b, SearchConfig(k=k, mn_factor=3))
+            got = fit_asus(b, SearchConfig(k=np.int64(k), mn_factor=3))
+            np.testing.assert_array_equal(got.hp.tau, want.hp.tau)
+            np.testing.assert_array_equal(got.hp.t, want.hp.t)
+            assert got.sure_value == want.sure_value
 
     def test_infeasible_k_raises(self):
         # two distinct auxiliary values cannot support four nonempty groups
@@ -307,6 +335,19 @@ class TestSelectK:
         gain12 = sel.sure_values[0] - sel.sure_values[1]
         gain23 = abs(sel.sure_values[1] - sel.sure_values[2])
         assert gain12 > 5 * gain23
+
+    @pytest.mark.parametrize("k_max", [True, 3.0, 2.5, 0, -1])
+    def test_k_max_that_is_not_a_positive_integer_rejected(self, k_max):
+        b = random_batch(np.random.default_rng(48), 90)
+        with pytest.raises(ValueError, match="^k_max must be an integer of at least 1, not "):
+            select_k(b, k_max)
+
+    def test_numpy_integer_k_max_selects_as_the_int(self):
+        b = random_batch(np.random.default_rng(49), 120)
+        want = select_k(b, 3, mn_factor=3)
+        got = select_k(b, np.int32(3), mn_factor=3)
+        np.testing.assert_array_equal(got.sure_values, want.sure_values)
+        assert (got.k_selected, got.k_elbow) == (want.k_selected, want.k_elbow)
 
     def test_first_infeasible_k_is_named(self):
         # K = 32 is the first K that 30 split points cannot fit
