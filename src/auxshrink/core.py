@@ -49,6 +49,15 @@ def _finite(x, name: str) -> np.ndarray:
     return arr
 
 
+def _check_integer(value, name: str, least: int | None = None) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer (a
+    Python or numpy one, not a bool), of at least ``least`` when given."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (least is not None and value < least)):
+        floor = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an integer{floor}, not {value!r}")
+
+
 def _finite_vector(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:

@@ -40,7 +40,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DataBatch, HyperParams, apply_estimator, loss, partition, universal_threshold
+from .core import (
+    DataBatch,
+    HyperParams,
+    _check_integer,
+    apply_estimator,
+    loss,
+    partition,
+    universal_threshold,
+)
 from .estimators import fit_auxscr, fit_ejs, fit_oracle_loss, xi_split_candidates
 from .tuner import SearchConfig, fit_asus, fit_sureshrink
 
@@ -84,8 +92,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown scenario family {self.family!r}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        _check_integer(self.n, "n", 1)
+        for name in ("m", "aux_variant"):
+            if getattr(self, name) is not None:
+                _check_integer(getattr(self, name), name)
 
 
 def _sparse_eta1(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -473,8 +483,7 @@ def run_risk_experiment(
     replication. A failure in any replication, fitting or scoring, raises
     RuntimeError naming it.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be at least 1")
+    _check_integer(n_reps, "n_reps", 1)
     names = _resolve_estimators(estimators)
     cfg = SearchConfig(k=k, mn_factor=mn_factor, hybrid=hybrid)
     child_seeds = [int(s) for s in

@@ -17,7 +17,7 @@ data on an interval"): a forward pass finds the least objective, a backward
 pass bounds what each partial sum may be and still reach it, and a greedy
 pass then picks the lexicographically smallest breakpoints. All three read
 the same terms, each group scored once. Its cost grows with the square of
-the number of nonempty cells, not with the C(m, K-1) breakpoint vectors.
+the number of cells, not with the C(m, K-1) breakpoint vectors.
 
 ``_search`` first rules groups out when the cut carries a bound and the
 largest K it searches is 2 or 3, as pruning does in optimal partitioning
@@ -41,12 +41,15 @@ are pruned. A SURE cut carries it only for a largest K of 3
 (``select_k(k_max=3)`` and ``fit_asus`` at K = 3). The K = 2 SURE search and
 K >= 4 are not pruned.
 
-Every search scores each distinct group once. A group's term depends on its
-coordinates alone, so groups that differ only by empty cells share one term.
-Only full grids hold such groups (``sweep_tau`` on S, ``fit_auxscr`` on |S|;
-README "Where the search lives" gives their share). The grids of
-``_split_points`` hold no empty cell, so the other searches pay one
-``np.unique`` per call.
+A grid holds only nonempty cells, decided once in ``_split_points``: it keeps
+the grid points whose lower cell holds a side value and that lie below the
+largest one. A group's term depends on its coordinates alone, so a grid
+point that differs from a split point only by empty cells gives the same
+groups, and the lexicographically first minimizer is always a split point.
+Every search runs on these points (README "Where the search lives" gives
+their share of the grid), or on the latent splits of
+``xi_split_candidates``; only the screening cut adds 0 and max |S|, whose
+lowest and top cells may be empty.
 
 For each group the threshold is chosen on the group's order statistics:
 between consecutive standardized magnitudes the SURE objective is
@@ -61,6 +64,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +73,7 @@ from .core import (
     DataBatch,
     FitResult,
     HyperParams,
+    _check_integer,
     _finite_vector,
     _sure_rows,
     apply_estimator,
@@ -121,18 +126,21 @@ class SearchConfig:
     hybrid: bool = True
 
     def __post_init__(self):
-        _check_k(self.k, "k")
+        _check_integer(self.k, "k", 1)
         _check_mn_factor(self.mn_factor)
-
-
-def _check_k(k, name: str) -> None:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, not {k!r}")
+        _check_hybrid(self.hybrid)
 
 
 def _check_mn_factor(mn_factor: float) -> None:
+    if isinstance(mn_factor, bool) or not isinstance(mn_factor, numbers.Real):
+        raise ValueError(f"mn_factor must be a real number, not {mn_factor!r}")
     if not (math.isfinite(mn_factor) and mn_factor > 0):
         raise ValueError(f"mn_factor must be finite and positive, not {mn_factor}")
+
+
+def _check_hybrid(hybrid: bool) -> None:
+    if not isinstance(hybrid, (bool, np.bool_)):
+        raise ValueError(f"hybrid must be a bool, not {hybrid!r}")
 
 
 @dataclass(frozen=True)
@@ -247,6 +255,8 @@ def fit_group_threshold(z, sigma, n_global: int, hybrid: bool = True) -> float:
     objective is minimized over the group's candidate set, smallest
     threshold winning ties. This is the group term every grouped fit uses.
     """
+    _check_integer(n_global, "n_global", 1)
+    _check_hybrid(hybrid)
     z = _finite_vector(z, "z")
     sigma = _finite_vector(sigma, "sigma")
     if z.size == 0:
@@ -452,7 +462,7 @@ class _IntervalBound:
                  hybrid: bool = False, head_column: np.ndarray | None = None):
         ctx, m = cut.ctx, cut.m
         self.m, self.n, self.cells, self.count = m, ctx.n, cut.cells, cut.count
-        self.skip_empty, self.below, self.above = cut.skip_empty, below, above
+        self.below, self.above = below, above
         self.head_column = head_column
         self.knots = np.linspace(0.0, ctx.t_n, _BOUND_SEGMENTS + 1)
         # the coordinates before first[j] have z <= t_j
@@ -547,16 +557,13 @@ class _IntervalBound:
 
     def _finish(self, v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The segment bounds ``v`` of the groups lo[i]..hi[i] with the hybrid
-        rule applied, and +inf where a cut that skips empty groups has the
-        group empty."""
-        size = self.count[hi + 1] - self.count[lo]
+        rule applied."""
         if self.hybrid:
+            size = self.count[hi + 1] - self.count[lo]
             with np.errstate(divide="ignore", invalid="ignore"):
                 fires = _hybrid_fires(self.capped[hi + 1] - self.capped[lo] + self.slack,
                                       size, self.n)
             v = np.where(fires, self.at_t_n[hi + 1] - self.at_t_n[lo], v)
-        if self.skip_empty:
-            v[size == 0] = np.inf
         return v
 
     def ends(self, table: bool = False) -> tuple:
@@ -585,20 +592,14 @@ class _IntervalBound:
     def rows(self, first: np.ndarray, last: np.ndarray) -> np.ndarray:
         """For each a = 1..m-1, a lower bound on first[a-1] + bound(a..b) +
         last[b] over b = a..m-1, from the segment bounds alone: for each
-        segment, the least cum[b+1] + last[b] over b from a (or from the
-        first cell >= a holding a coordinate, when empty groups are
-        skipped), less cum[a]."""
+        segment, the least cum[b+1] + last[b] over b from a, less cum[a]."""
         m, table = self.m, self.table  # built here: the rows' pairs use it next
-        start = np.arange(1, m)
-        if self.skip_empty:
-            held = np.append(np.flatnonzero(np.diff(self.count) > 0), m)
-            start = held[np.searchsorted(held, start)]
         low = np.inf
         for j in range(0, _BOUND_SEGMENTS, self.step):  # a block of the table at a time
             cum = table[j:j + self.step]
-            suffix = np.pad(cum[:, 1:m + 1] + last[:m], ((0, 0), (0, 1)), constant_values=np.inf)
+            suffix = cum[:, 1:m + 1] + last[:m]
             np.minimum.accumulate(suffix[:, ::-1], axis=1, out=suffix[:, ::-1])
-            low = np.minimum(low, (suffix[:, start] - cum[:, 1:m]).min(axis=0))
+            low = np.minimum(low, (suffix[:, 1:] - cum[:, 1:m]).min(axis=0))
         return first[:m - 1] + low
 
 
@@ -658,34 +659,37 @@ def _within(ctx: _SortedBatch, cells: np.ndarray, lo: int, hi: int) -> tuple:
 
 
 def _split_points(grid: np.ndarray, side: np.ndarray) -> np.ndarray:
-    """The points of ``grid`` whose lower cell holds a side value.
+    """The points of ``grid`` below max ``side`` whose lower cell holds a side
+    value: every cell of the grid they make holds one.
 
-    Moving a breakpoint down across an empty cell keeps every group, so when
-    no group may be empty the lexicographically first minimizer uses these
-    points only."""
+    Moving a breakpoint down across an empty cell keeps every group, and a
+    point at or above max ``side`` leaves the groups above it empty, so the
+    lexicographically first minimizer with no empty group uses these points
+    only."""
     cells = np.searchsorted(grid, side, side="left")
-    return grid[np.bincount(cells, minlength=grid.size + 1)[:-1] > 0]
+    held = np.bincount(cells, minlength=grid.size + 1)[:-1] > 0
+    return grid[held & (grid < side.max())]
 
 
 class _Cut:
     """A sorted batch cut into the cells of a breakpoint grid, with the terms
     of every first group (cells 0..b, b = 0..m) and every last group (cells
     a..m, a = 1..m), each computed on first use. ``first`` fits the first
-    group and ``rest`` the others; with ``skip_empty`` an empty group's term
-    is +inf. ``row(a)`` scores the middle groups a..b, b = a..m-1.
-    ``bound``, when given, maps the cut to its ``_IntervalBound``, with
-    which ``_search`` prunes when its largest K is 2 or 3. The cut builders
-    are ``_sure_cut``, ``_loss_cut`` and ``_screen_cut``."""
+    group and ``rest`` the others. ``row(a)`` scores the middle groups a..b,
+    b = a..m-1. ``bound``, when given, maps the cut to its
+    ``_IntervalBound``, with which ``_search`` prunes when its largest K is 2
+    or 3. The cut builders are ``_sure_cut``, ``_loss_cut`` and
+    ``_screen_cut``; every cell of their grids holds a coordinate, but for
+    the screening cut's lowest and top cells."""
 
     def __init__(self, ctx: _SortedBatch, grid: np.ndarray, first, rest, base: float,
-                 skip_empty: bool = True, bound=None):
+                 bound=None):
         self.ctx = ctx
         self.grid = grid
         self.m = m = grid.size
         self.first = first
         self.rest = rest
         self.base = base
-        self.skip_empty = skip_empty
         self.bound = bound
         self.cells = np.searchsorted(grid, ctx.side, side="left")
         self.count = np.concatenate([[0], np.cumsum(np.bincount(self.cells, minlength=m + 1))])
@@ -700,13 +704,9 @@ class _Cut:
 
     def terms(self, term, lo: np.ndarray, hi: np.ndarray, within: tuple | None = None):
         """Threshold and objective term of the group holding cells lo[i]..hi[i],
-        for each i.
-
-        A group's term depends on its coordinates alone, the sorted batch's
-        count[lo] .. count[hi + 1] - 1, so groups that differ only by empty
-        cells share it: each distinct pair of counts is scored once and its
-        term copied to the other groups. Only full grids (``sweep_tau``,
-        ``fit_auxscr``) hold such groups.
+        for each i. On the grids of ``_split_points`` every cell holds a
+        coordinate, so no two groups hold the same coordinates and each is
+        scored once.
 
         Consecutive groups run together in chunks of a fixed number of
         elements: one row per group, holding the coordinates of the chunk's
@@ -721,14 +721,7 @@ class _Cut:
         pruned search's) are cut from the whole batch: cut from the span of
         them all, their chunks would outgrow the budget.
         """
-        key = self.count[lo] * (self.ctx.n + 1) + self.count[hi + 1]
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        if first.size < lo.size:
-            t, v = self.terms(term, lo[first], hi[first], within)
-            return t[inverse], v[inverse]
         t, v = np.empty(lo.size), np.empty(lo.size)
-        if lo.size == 0:
-            return t, v
         ctx, cells = (self.ctx, self.cells) if within is None else within
         s = 0
         while s < lo.size:
@@ -741,8 +734,6 @@ class _Cut:
             sub, sub_cells = _within(ctx, cells, a[e - s - 1], b[e - s - 1])
             t[s:e], v[s:e] = term(sub, (sub_cells >= lo[s:e, None]) & (sub_cells <= hi[s:e, None]))
             s = e
-        if self.skip_empty:
-            v[self.count[hi + 1] == self.count[lo]] = np.inf
         return t, v
 
     def row(self, a: int):
@@ -873,8 +864,8 @@ def _pruned(cut: _Cut, ks) -> tuple:
     """The terms (head, tail, middle) ``_search`` runs on for the K in ``ks``
     (each at most 3): exact only where K = 1, a split (K = 2) or a pair of
     breakpoints (K = 3) whose lower bound can still reach that K's least
-    total needs them, +inf (as for an empty group) elsewhere, and with
-    ``middle`` holding, a ascending, only the rows a that keep a pair.
+    total needs them, +inf elsewhere, and with ``middle`` holding, a
+    ascending, only the rows a that keep a pair.
 
     A K = 3 total is (base + head term of cells 0..a-1) + the term of cells
     a..b + the tail term of cells b+1..m, and a K = 2 total has no middle
@@ -985,16 +976,17 @@ def _loss_cut(batch: DataBatch, side: np.ndarray, grid: np.ndarray) -> _Cut:
 
 
 def _screen_cut(batch: DataBatch, mn_factor: float = 50.0) -> _Cut:
-    """The screening terms of every cutoff on |S| (``fit_auxscr``), the grid
-    on |S| extended by 0 and max |S|, screened group first, with their
-    interval bound. A row whose s2 z^2 overflows is rejected (``_loss_cut``)."""
+    """The screening terms of every cutoff on |S| (``fit_auxscr``), the split
+    points of the grid on |S| with 0 (screen nothing) and max |S| (screen
+    everything), screened group first, with their interval bound. Cell 0
+    (|S| = 0) and the top cell may be empty, and an empty group's term is 0.
+    A row whose s2 z^2 overflows is rejected (``_loss_cut``)."""
     abs_s = np.abs(batch.s)
-    tau_cands = np.unique(np.concatenate([[0.0], tau_grid(abs_s, mn_factor), [abs_s.max()]]))
+    tau_cands = np.union1d([0.0, abs_s.max()], _split_points(tau_grid(abs_s, mn_factor), abs_s))
     ctx = _SortedBatch(batch, abs_s)
     _reject_overflow(batch, [ctx.s2z2], "the screening SURE term")
     return _Cut(ctx, tau_cands, _screen_group, functools.partial(_sure_group, hybrid=False),
-                ctx.s2_total, skip_empty=False,
-                bound=functools.partial(_sure_bound, hybrid=False, screen=True))
+                ctx.s2_total, bound=functools.partial(_sure_bound, hybrid=False, screen=True))
 
 
 def _reject_overflow(batch: DataBatch, columns, what: str) -> None:
@@ -1063,34 +1055,37 @@ def sweep_tau(batch: DataBatch, cfg: SearchConfig | None = None) -> SweepCurve:
     """Minimized SURE at every grid breakpoint (K = 2 only).
 
     The curve's global minimum coincides with fit_asus(K=2) because both
-    scan the same candidates. Breakpoints skipped for creating an empty
-    group are omitted from the curve.
+    scan the same candidates. Breakpoints that leave a group empty are
+    omitted from the curve. The search runs on the split points of the grid
+    (``_split_points``), and every other point takes the fit and SURE of the
+    last split point at or below it, whose groups hold the same coordinates.
     """
     if cfg is None:
         cfg = SearchConfig(k=2)
     if cfg.k != 2:
         raise ValueError("sweep_tau is defined for K = 2")
-    cut = _sure_cut(batch, tau_grid(batch.s, cfg.mn_factor), cfg.hybrid)
-    (t1, v1), (t2, v2) = cut.head, cut.tail
-    feasible = np.flatnonzero(np.isfinite(v1[:cut.m]) & np.isfinite(v2))
-    if not feasible.size:
+    grid = tau_grid(batch.s, cfg.mn_factor)
+    split = _split_points(grid, batch.s)
+    if not split.size:
         raise ValueError("no feasible breakpoint candidate for K=2")
-    taus, t1s, t2s = cut.grid[feasible], t1[feasible], t2[feasible]
-    # each point's SURE as core.sure gives it, with group 1 at s <= tau; the
-    # points whose group 1 holds the same coordinates share one row
-    _, first, inverse = np.unique(cut.count[feasible + 1], return_index=True,
-                                  return_inverse=True)
-    sures = np.empty(first.size)
+    cut = _sure_cut(batch, split, cfg.hybrid)
+    t1, t2 = cut.head[0][:split.size], cut.tail[0]
+    # each split point's SURE as core.sure gives it, with group 1 at s <= tau
+    sures = np.empty(split.size)
     step = max(1, _SWEEP_ELEMENTS // batch.n)
-    for lo in range(0, first.size, step):
-        rows = first[lo:lo + step]
-        t_rows = np.where(batch.s <= taus[rows, None], t1s[rows, None], t2s[rows, None])
-        sures[lo:lo + step] = _sure_rows(batch, t_rows)
+    for lo in range(0, split.size, step):
+        rows = slice(lo, lo + step)
+        t_rows = np.where(batch.s <= split[rows, None], t1[rows, None], t2[rows, None])
+        sures[rows] = _sure_rows(batch, t_rows)
+    # the grid points with both groups nonempty, each with its split point
+    at = np.searchsorted(split, grid, side="right") - 1
+    feasible = (at >= 0) & (grid < batch.s.max())
+    at = at[feasible]
     return SweepCurve(
-        tau_values=taus,
-        sure_values=sures[inverse],
-        t1_values=t1s,
-        t2_values=t2s,
+        tau_values=grid[feasible],
+        sure_values=sures[at],
+        t1_values=t1[at],
+        t2_values=t2[at],
     )
 
 
@@ -1107,8 +1102,9 @@ def select_k(
     heuristic is reported alongside: the last K whose SURE improvement over
     K-1 is at least 5% relative.
     """
-    _check_k(k_max, "k_max")
+    _check_integer(k_max, "k_max", 1)
     _check_mn_factor(mn_factor)
+    _check_hybrid(hybrid)
     grid = _fit_grid(batch.s, k_max, mn_factor)
     if k_max > grid.size + 1:  # every K up to grid.size + 1 fits: no cell is empty
         raise _infeasible(grid.size + 2)

@@ -1,26 +1,43 @@
-"""Groups that hold the same coordinates are scored once.
+"""Every search runs on a grid whose cells each hold a coordinate.
 
-A full breakpoint grid (``sweep_tau``, ``fit_auxscr``) leaves many cells
-empty on skewed side sequences, so many of the groups a search asks
-``_Cut.terms`` for hold the same coordinates: those of the sorted batch from
-count[lo] to count[hi + 1] - 1. These tests count the group rows that reach
-the term functions, and check that every group's term, shared or not, is bit
-for bit the term of that group scored alone.
+``tuner._split_points`` keeps the grid points below max S whose lower cell
+holds a side value, and every search's grid comes from it or from
+``xi_split_candidates``. So no group a search asks ``_Cut.terms`` for is
+empty, and no two hold the same coordinates (those of the sorted batch from
+count[lo] to count[hi + 1] - 1): each group is scored once, and the sweep
+sums one ``core._sure_rows`` row per split point. Only the screening cut
+(``fit_auxscr``) adds 0 (screen nothing) and max |S| (screen everything),
+so its cell 0 and its top cell may be empty. These tests check every cut
+the fits build, and that every group's term is bit for bit the term of that
+group scored alone.
 
 ``fit_auxscr`` itself scores only the few splits its bound cannot rule out,
-which rarely share a group, so its cases score every split of its cut: the
-head and tail terms of the full screening search.
+so the term cases score every split of its cut: the head and tail terms of
+the full screening search.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from auxshrink import ScenarioSpec, generate, sweep_tau
+from auxshrink import (
+    ScenarioSpec,
+    SearchConfig,
+    fit_asus,
+    fit_auxscr,
+    fit_oracle_loss,
+    fit_oracle_side,
+    generate,
+    select_k,
+    sweep_tau,
+)
 from auxshrink import tuner
-from auxshrink.tuner import _screen_cut
+from auxshrink.tuner import _screen_cut, _screen_group
 from test_loss_bound import unbounded
+from test_search_equivalence import make_batch
 
 SPECS = {
     "one-sample-s1": ScenarioSpec("one-sample-s1", n=1000, m=200, aux_variant=2, seed=12),
@@ -36,51 +53,70 @@ def screening_splits(batch):
 
 FITS = {"sweep_tau": sweep_tau, "fit_auxscr": screening_splits}
 
+# every search of the package, on a batch at a grid density
+SEARCHES = {
+    "fit_asus_k2": lambda b, mn: fit_asus(b, SearchConfig(k=2, mn_factor=mn)),
+    "fit_asus_k3": lambda b, mn: fit_asus(b, SearchConfig(k=3, mn_factor=mn)),
+    "select_k3": lambda b, mn: select_k(b, 3, mn_factor=mn),
+    "fit_oracle_loss": lambda b, mn: fit_oracle_loss(b, SearchConfig(mn_factor=mn)),
+    "fit_oracle_side": lambda b, mn: fit_oracle_side(b),
+    "sweep_tau": lambda b, mn: sweep_tau(b, SearchConfig(mn_factor=mn)),
+    "fit_auxscr": lambda b, mn: fit_auxscr(b, mn),
+}
+
+
+def searched_batch(name: str) -> tuple:
+    """(batch, mn_factor): a family of SPECS at the default density, or the
+    clustered batch of the search-equivalence tests, whose side values sit
+    in three tight clusters, with its latent sequence set to S."""
+    if name in SPECS:
+        return generate(SPECS[name]), 50.0
+    batch, mn_factor = make_batch(name)
+    return dataclasses.replace(batch, xi=batch.s), mn_factor
+
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Every outer ``_Cut.terms`` call: its cut, term, groups and result, and
-    the coordinates of each group row that reached the term function."""
+    """Every ``_Cut.terms`` call: its cut, term, groups and result."""
     terms = tuner._Cut.terms
-    record, active = [], []
+    record = []
 
     def spy(cut, term, lo, hi, within=None):
-        if active:  # terms calling itself on the distinct groups
-            return terms(cut, term, lo, hi, within)
-        call = dict(cut=cut, term=term, lo=lo, hi=hi, within=within, rows=[])
-
-        def counted(ctx, mask):
-            call["rows"] += [frozenset(ctx.side[row].tolist()) for row in mask]
-            return term(ctx, mask)
-
-        active.append(call)
-        try:
-            call["result"] = terms(cut, counted, lo, hi, within)
-        finally:
-            active.pop()
-        record.append(call)
-        return call["result"]
+        result = terms(cut, term, lo, hi, within)
+        record.append(dict(cut=cut, term=term, lo=lo, hi=hi, within=within, result=result))
+        return result
 
     monkeypatch.setattr(tuner._Cut, "terms", spy)
     return record
 
 
-@pytest.mark.parametrize("fit", FITS)
-@pytest.mark.parametrize("family", SPECS)
-def test_each_distinct_group_is_scored_once(calls, family, fit):
-    FITS[fit](generate(SPECS[family]))
-    assert calls
-    asked = scored = 0
-    for call in calls:
-        count = call["cut"].count
-        pairs = set(zip(count[call["lo"]].tolist(), count[call["hi"] + 1].tolist()))
-        held = [row for row in call["rows"] if row]
-        assert len(call["rows"]) == len(pairs)
-        assert len(set(held)) == len(held)
-        asked += call["lo"].size
-        scored += len(call["rows"])
-    # the grid has empty cells, so some groups share their coordinates
-    assert scored < asked
+@pytest.fixture
+def cuts(monkeypatch):
+    """Every ``_Cut`` built while the test runs."""
+    init = tuner._Cut.__init__
+    made = []
+
+    def spy(cut, *args, **kwargs):
+        init(cut, *args, **kwargs)
+        made.append(cut)
+
+    monkeypatch.setattr(tuner._Cut, "__init__", spy)
+    return made
+
+
+@pytest.mark.parametrize("fit", SEARCHES)
+@pytest.mark.parametrize("family", [*SPECS, "clustered"])
+def test_search_cells_hold_a_coordinate(cuts, family, fit):
+    batch, mn_factor = searched_batch(family)
+    SEARCHES[fit](batch, mn_factor)
+    assert cuts
+    for cut in cuts:
+        held = np.diff(cut.count) > 0
+        if cut.first is _screen_group:
+            # screen nothing and screen everything stay in the grid
+            assert cut.grid[0] == 0.0 and cut.grid[-1] == np.abs(batch.s).max()
+            held = held[1:-1]
+        assert held.all()
 
 
 @pytest.mark.parametrize("fit", FITS)

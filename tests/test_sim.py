@@ -36,6 +36,24 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             gen_one_sample(spec)
 
+    @pytest.mark.parametrize("n", [300.5, 300.0, True, "300", None, 0])
+    def test_n_that_is_not_a_count_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer of at least 1, not "):
+            ScenarioSpec(family="two-sample-s2", n=n)
+
+    @pytest.mark.parametrize("field", ["m", "aux_variant"])
+    @pytest.mark.parametrize("value", [10.0, True, "2"])
+    def test_m_or_variant_that_is_not_an_integer_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, not "):
+            ScenarioSpec(family="one-sample-s1", n=1000, **{field: value})
+
+    def test_numpy_integers_generate_as_the_ints(self):
+        want = generate(ScenarioSpec("one-sample-s1", n=400, m=12, aux_variant=2, seed=3))
+        got = generate(ScenarioSpec("one-sample-s1", n=np.int64(400), m=np.int32(12),
+                                    aux_variant=np.int64(2), seed=3))
+        for name in ("y", "sigma", "s", "theta", "xi"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
 
 class TestOneSample:
     def test_s1_block_structure(self):
@@ -199,6 +217,18 @@ class TestRunRiskExperiment:
         b = run_risk_experiment(spec, ["sureshrink", "oracle"], n_reps=4)
         for nm in a.results:
             np.testing.assert_array_equal(a.results[nm].losses, b.results[nm].losses)
+
+    @pytest.mark.parametrize("n_reps", [True, 2.0, "2", 0])
+    def test_n_reps_that_is_not_a_count_rejected(self, n_reps):
+        spec = ScenarioSpec(family="two-sample-s1", n=200, seed=3)
+        with pytest.raises(ValueError, match="^n_reps must be an integer of at least 1, not "):
+            run_risk_experiment(spec, ["sureshrink"], n_reps=n_reps)
+
+    def test_numpy_integer_n_reps_runs_as_the_int(self):
+        spec = ScenarioSpec(family="two-sample-s1", n=200, seed=3)
+        want = run_risk_experiment(spec, ["sureshrink"], n_reps=2)
+        got = run_risk_experiment(spec, ["sureshrink"], n_reps=np.int64(2))
+        assert got.to_dict() == want.to_dict()
 
     def test_unknown_estimator_rejected(self):
         spec = ScenarioSpec(family="toy", n=500, seed=73)

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -20,8 +21,9 @@ from auxshrink import (
     threshold_candidates,
     universal_threshold,
 )
+import brute_force
 from auxshrink import tuner
-from auxshrink.tuner import _fit_grid
+from auxshrink.tuner import _SortedBatch, _fit_grid, _split_points
 from brute_force import _objective_values
 from test_search_equivalence import hybrid_bound_batch
 
@@ -65,6 +67,25 @@ class TestTauGrid:
             tau_grid([0.0, 1.0, 2.0], mn_factor)
         with pytest.raises(ValueError, match="^mn_factor must be finite and positive"):
             SearchConfig(mn_factor=mn_factor)
+
+    @pytest.mark.parametrize("mn_factor", [True, False, "50", None, 1j])
+    def test_mn_factor_that_is_not_a_real_number_rejected(self, mn_factor):
+        b = random_batch(np.random.default_rng(50), 60)
+        match = "^mn_factor must be a real number, not "
+        with pytest.raises(ValueError, match=match):
+            tau_grid([0.0, 1.0, 2.0], mn_factor)
+        with pytest.raises(ValueError, match=match):
+            SearchConfig(mn_factor=mn_factor)
+        with pytest.raises(ValueError, match=match):
+            select_k(b, 2, mn_factor=mn_factor)
+
+    def test_numpy_and_integer_mn_factor_fit_as_the_float(self):
+        b = random_batch(np.random.default_rng(51), 120)
+        want = fit_asus(b, SearchConfig(mn_factor=3.0))
+        for mn_factor in (3, np.float32(3.0), np.int64(3)):
+            got = fit_asus(b, SearchConfig(mn_factor=mn_factor))
+            np.testing.assert_array_equal(got.hp.tau, want.hp.tau)
+            np.testing.assert_array_equal(got.hp.t, want.hp.t)
 
     def test_grid_over_the_limit_is_rejected(self):
         # n=2: m = ceil(mn_factor ln 2), one point over the 2^20 limit
@@ -152,6 +173,43 @@ class TestFitGroupThreshold:
 def test_fit_group_threshold_rejects_negative_magnitudes():
     with pytest.raises(ValueError, match="magnitudes"):
         fit_group_threshold([0.5, -1.0, 2.0], np.ones(3), 100)
+
+
+@pytest.mark.parametrize("n_global", [True, False, 2.5, 100.0, "100", None, 0])
+def test_fit_group_threshold_rejects_an_n_global_that_is_not_a_count(n_global):
+    with pytest.raises(ValueError, match="^n_global must be an integer of at least 1, not "):
+        fit_group_threshold([0.5, 1.0, 2.0], np.ones(3), n_global)
+
+
+def test_fit_group_threshold_takes_a_numpy_integer_n_global():
+    z = np.abs(np.random.default_rng(52).normal(0, 2, 40))
+    assert fit_group_threshold(z, np.ones(40), np.int32(100)) == fit_group_threshold(
+        z, np.ones(40), 100)
+
+
+@pytest.mark.parametrize("hybrid", ["no", 1, 0, None, 1.0])
+def test_hybrid_that_is_not_a_bool_rejected(hybrid):
+    b = random_batch(np.random.default_rng(53), 60)
+    match = "^hybrid must be a bool, not "
+    with pytest.raises(ValueError, match=match):
+        SearchConfig(hybrid=hybrid)
+    with pytest.raises(ValueError, match=match):
+        select_k(b, 2, hybrid=hybrid)
+    with pytest.raises(ValueError, match=match):
+        fit_sureshrink(b, hybrid=hybrid)
+    with pytest.raises(ValueError, match=match):
+        fit_group_threshold([0.5, 1.0, 2.0], np.ones(3), 100, hybrid=hybrid)
+
+
+def test_numpy_bool_hybrid_fits_as_the_bool():
+    b = generate(ScenarioSpec(family="two-sample-s2", n=300, seed=1))
+    for hybrid in (True, False):
+        want = fit_asus(b, SearchConfig(hybrid=hybrid))
+        got = fit_asus(b, SearchConfig(hybrid=np.bool_(hybrid)))
+        np.testing.assert_array_equal(got.hp.t, want.hp.t)
+    # the two settings differ on this batch, so a truthy non-bool would show
+    assert not np.array_equal(fit_asus(b, SearchConfig(hybrid=True)).hp.t,
+                              fit_asus(b, SearchConfig(hybrid=False)).hp.t)
 
 
 class TestFitAsus:
@@ -317,6 +375,45 @@ class TestSweepTau:
             curve.tau_values, curve.sure_values, curve.t1_values, curve.t2_values
         ):
             assert sure(b, HyperParams(tau=[tau], t=[t1, t2])) == sv
+
+
+def few_ulp_batch() -> DataBatch:
+    """300 coordinates whose S takes three adjacent floats from 0.1. At
+    mn_factor 4 the grid holds 23 points, 6 of which round onto max S."""
+    rng = np.random.default_rng(1)
+    n = 300
+    values = np.nextafter.accumulate([0.1, 1.0, 1.0])
+    theta = np.where(rng.random(n) < 0.2, rng.normal(0, 3, n), 0.0)
+    return DataBatch(y=theta + rng.standard_normal(n), sigma=np.ones(n),
+                     s=rng.choice(values, n), theta=theta)
+
+
+class TestFewUlpSide:
+    def test_split_points_lie_below_the_largest_side_value(self):
+        b = few_ulp_batch()
+        grid = tau_grid(b.s, 4.0)
+        assert grid.size == 23 and np.count_nonzero(grid == b.s.max()) == 6
+        split = _split_points(grid, b.s)
+        assert split.size == 2 and np.all(split < b.s.max())
+
+    def test_selection_equals_enumerating_the_full_grid(self):
+        # brute force visits every breakpoint vector of the full grid and
+        # skips those that leave a group empty
+        b = few_ulp_batch()
+        ctx = _SortedBatch(b, b.s)
+        term = functools.partial(brute_force.sure_group, hybrid=True)
+        sel = select_k(b, 3, mn_factor=4.0)
+        for k in (1, 2, 3):
+            _, tau, t, _ = brute_force.search(ctx, brute_force.grid_of(b.s, k, 4.0), k,
+                                              term, ctx.s2_total)
+            assert sel.sure_values[k - 1] == sure(b, HyperParams(tau=tau, t=t))
+        np.testing.assert_array_equal(select_k(b, 2, mn_factor=4.0).sure_values,
+                                      sel.sure_values[:2])
+
+    def test_four_groups_are_infeasible(self):
+        b = few_ulp_batch()
+        with pytest.raises(ValueError, match="^no feasible breakpoint candidate for K=4;"):
+            select_k(b, 4, mn_factor=4.0)
 
 
 class TestSelectK:
