@@ -41,11 +41,22 @@ def _finite(x, name: str) -> np.ndarray:
     """``x`` as a float array of any shape; a non-finite entry raises
     ValueError naming ``name`` and the entry's index."""
     arr = np.asarray(x, dtype=float)
-    finite = np.isfinite(arr)
-    if not finite.all():
-        i = tuple(int(k) for k in np.unravel_index(np.argmin(finite), arr.shape))
+    return _require(arr, np.isfinite(arr), name, "finite")
+
+
+def _positive(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr``, whose first entry that is not positive raises ValueError
+    naming ``name`` and the entry's index."""
+    return _require(arr, arr > 0, name, "positive")
+
+
+def _require(arr: np.ndarray, ok: np.ndarray, name: str, what: str) -> np.ndarray:
+    """``arr``; where ``ok`` is false, ValueError naming ``name``, the first
+    such entry's index and value, and what it is not."""
+    if not ok.all():
+        i = tuple(int(k) for k in np.unravel_index(np.argmin(ok), arr.shape))
         where = f" at index {i[0] if arr.ndim == 1 else i}" if arr.ndim else ""
-        raise ValueError(f"{name} is not finite{where}: {arr[i]}")
+        raise ValueError(f"{name} is not {what}{where}: {arr[i]}")
     return arr
 
 
@@ -90,8 +101,7 @@ class DataBatch:
             raise ValueError("batch must contain at least one coordinate")
         if sigma.shape != y.shape or s.shape != y.shape:
             raise ValueError("y, sigma and s must have identical length")
-        if np.any(sigma <= 0):
-            raise ValueError("all sigma values must be positive")
+        _positive(sigma, "sigma")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "s", s)
@@ -176,8 +186,7 @@ def soft_estimate(y_i, sigma_i, t):
     y_i = _finite(y_i, "y")
     sigma_i = _finite(sigma_i, "sigma")
     t = _finite(t, "t")
-    if np.any(sigma_i <= 0):
-        raise ValueError("sigma must be positive")
+    _positive(sigma_i, "sigma")
     if np.any(t < 0):
         raise ValueError("threshold must be nonnegative")
     z = np.abs(y_i) / sigma_i

@@ -96,6 +96,7 @@ class ScenarioSpec:
         for name in ("m", "aux_variant"):
             if getattr(self, name) is not None:
                 _check_integer(getattr(self, name), name)
+        _check_integer(self.seed, "seed", 0)
 
 
 def _sparse_eta1(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -56,7 +56,10 @@ between consecutive standardized magnitudes the SURE objective is
 nondecreasing in t, so its minimum over [0, t_n] is attained on
 {0} | {z_i <= t_n} | {t_n}. A hybrid fallback returns the universal
 threshold for groups whose empirical second moment is too close to pure
-noise for SURE to be trustworthy; its statistic is summed in z order.
+noise for SURE to be trustworthy. Its statistic is the group's capped sum in
+z order; a dot product and a derived slack settle the rule for nearly every
+group (``_surely_fires``), and the z-order sum is taken only where they
+cannot.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ from .core import (
     HyperParams,
     _check_integer,
     _finite_vector,
+    _positive,
     _sure_rows,
     apply_estimator,
     loss,
@@ -216,11 +220,19 @@ def _sure_values(p0: np.ndarray, p2: np.ndarray, t_values: np.ndarray,
 
     ``p0`` and ``p2`` are prefix sums of s2 and s2 z^2 over the group's
     z-ascending coordinates (last axis); ``j`` counts the z values <= each t.
+    ``j`` is None when the t values are 0, the c = p2.shape[-1] - 1 z values
+    at or below t_n, all distinct and above 0, and t_n: the counts are then
+    0, 1, ..., c, c, read by slice.
     """
-    p0j = np.take(p0, j, axis=-1)
+    if j is None:
+        c = p2.shape[-1] - 1
+        p0j = np.concatenate([p0[..., :c + 1], p0[..., c:c + 1]], axis=-1)
+        p2j = np.concatenate([p2, p2[..., c:]], axis=-1)
+    else:
+        p0j, p2j = np.take(p0, j, axis=-1), np.take(p2, j, axis=-1)
     v = p0[..., -1:] - p0j  # the tail sum
     v *= t_values * t_values
-    v += np.take(p2, j, axis=-1)
+    v += p2j
     p0j *= 2.0
     v -= p0j
     return v
@@ -240,10 +252,21 @@ def _loss_at(parts: tuple, t_values: np.ndarray) -> np.ndarray:
 def _hybrid_fires(capped_sum, size, n: int):
     """Whether a group looks like pure noise: its mean of (z^2 ^ t_n^2)
     exceeds 1 by at most n^{-1/2} (ln n)^{3/2}, n the global size.
-    Elementwise on arrays of sums and sizes."""
+    Elementwise on arrays of sums and sizes; an empty group (0 / 0, which
+    the caller's np.errstate allows) does not fire."""
     stat = capped_sum / size - 1.0
     bound = n ** (-0.5) * math.log(n) ** 1.5 if n > 1 else 0.0
     return stat <= bound
+
+
+def _surely_fires(capped_sum, slack, size, n: int):
+    """Whether the hybrid rule fires on every capped sum up to
+    ``capped_sum`` + ``slack``: ``_hybrid_fires`` is monotone in the sum
+    (rounding of x / size - 1 is), so it fires there iff it fires at that
+    largest sum. With a negative ``slack``, whether it may fire on some sum
+    down to ``capped_sum`` - |slack|. ``slack`` must be twice the distance
+    to the sum it stands for, so that adding it rounds past that sum."""
+    return _hybrid_fires(capped_sum + slack, size, n)
 
 
 def fit_group_threshold(z, sigma, n_global: int, hybrid: bool = True) -> float:
@@ -265,8 +288,7 @@ def fit_group_threshold(z, sigma, n_global: int, hybrid: bool = True) -> float:
         raise ValueError("z and sigma must have equal length")
     if np.any(z < 0):
         raise ValueError("z must hold magnitudes |y|/sigma >= 0")
-    if np.any(sigma <= 0):
-        raise ValueError("all sigma values must be positive")
+    _positive(sigma, "sigma")
     ctx = _SortedBatch.of_group(z, sigma, n_global)
     t, _ = _sure_group(ctx, np.ones((1, z.size), dtype=bool), hybrid)
     return float(t[0])
@@ -339,7 +361,9 @@ class _SortedBatch:
 
     def members(self, mask: np.ndarray) -> np.ndarray:
         """Which candidates each group (row of ``mask``) holds: 0 and t_n
-        always, a z value when one of the group's coordinates has it."""
+        always, a z value when one of the group's coordinates has it. Only
+        the realized loss needs it (``_min_loss_threshold``); the SURE term
+        cannot take its minimum at a candidate a group does not hold."""
         _, _, starts, c = self.candidates
         ext = np.ones((mask.shape[0], c + 2), dtype=bool)
         ext[:, 1:-1] = mask[:, :c]
@@ -350,33 +374,56 @@ class _SortedBatch:
 
 def _sure_group(ctx: _SortedBatch, mask: np.ndarray, hybrid: bool) -> tuple:
     """SURE-fitted threshold and SURE term of each group (row of ``mask``),
-    hybrid rule first; the smallest threshold wins ties. Without the hybrid
-    rule an empty group gives (0, 0)."""
-    cands, counts, _, c = ctx.candidates
+    hybrid rule first; the smallest threshold wins ties. An empty group gives
+    (0, 0).
+
+    Every row is scored at every candidate of the batch, not only those its
+    group holds. A candidate the group does not hold has the prefix sums of
+    the last one at or below it that the group holds (0 at least), and a
+    larger t; the computed term is nondecreasing in t at fixed sums, so it
+    is no lower there, and ``np.argmin`` takes the first least value."""
+    cands, counts, starts, c = ctx.candidates
     p0 = _prefix(mask * ctx.s2s)
     # the terms read s2 z^2 below t_n only, the first c coordinates
     p2 = _prefix(mask[:, :c] * ctx.s2z2[:c])
-    vals = _sure_values(p0, p2, cands, counts)
-    vals[~ctx.members(mask)] = np.inf
+    vals = _sure_values(p0, p2, cands, None if starts is None else counts)
     i = np.argmin(vals, axis=1)
     rows = np.arange(mask.shape[0])
     t, v = cands[i], vals[rows, i]
     if hybrid:
-        # the capped sum in z order, bit for bit that over the group alone
+        # The rule is decided on the capped sum in z order, bit for bit that
+        # over the group alone; a dot product d settles most rows. Adding 0
+        # is exact, so d (in any order) and that sum each lie within
+        # g eps/2 T of the exact sum T <= d (1 + g eps) of the group's g
+        # values >= 0: they differ by at most g eps d (1 + g eps). Only a row
+        # whose rule changes within twice that takes the z-order sum.
+        d = mask @ ctx.capped
+        size = np.count_nonzero(mask, axis=1)
+        slack = 2.0 * np.finfo(float).eps * size * d
         with np.errstate(divide="ignore", invalid="ignore"):
-            fires = _hybrid_fires(_prefix(mask * ctx.capped)[:, -1],
-                                  np.count_nonzero(mask, axis=1), ctx.n)
+            fires = _surely_fires(d, slack, size, ctx.n)
+            open_ = np.flatnonzero(_surely_fires(d, -slack, size, ctx.n) & ~fires)
+            if open_.size:
+                fires[open_] = _hybrid_fires(_z_order_sums(mask[open_], ctx.capped),
+                                             size[open_], ctx.n)
         t[fires] = ctx.t_n
         v[fires] = vals[fires, -1]
     return t, v
 
 
+def _z_order_sums(mask: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Each group's (row of ``mask``) sum of ``column`` in z order: adding
+    +-0.0 leaves a sequential sum unchanged, so bit for bit the sum over the
+    group alone."""
+    return _prefix(mask * column)[:, -1]
+
+
 def _screen_group(ctx: _SortedBatch, mask: np.ndarray) -> tuple:
     """Screened groups: a group's threshold is its largest magnitude (0 when
     empty), so every estimate is zero and the SURE term is sum s2 (z^2 - 2),
-    summed in z order and so bit for bit that over the group alone."""
+    summed in z order."""
     t = (mask * ctx.zs).max(axis=1, initial=0.0)
-    return t, _prefix(mask * (ctx.s2z2 - 2.0 * ctx.s2s))[:, -1]
+    return t, _z_order_sums(mask, ctx.s2z2 - 2.0 * ctx.s2s)
 
 
 def _min_loss_threshold(ctx: _SortedBatch, mask: np.ndarray) -> tuple:
@@ -494,8 +541,7 @@ class _IntervalBound:
             # each cumulative entry is within (n + m) eps/2 total of its exact
             # value, and their difference adds eps/2 total. So the search's sum
             # is below the difference plus 2 (n + m + 1) eps total, and twice
-            # that absorbs the rounding of adding it. _hybrid_fires is monotone
-            # in the sum, so the rule fires where it fires at the larger sum.
+            # that absorbs the rounding of adding it (``_surely_fires``).
             self.slack = 4.0 * (ctx.n + m + 1) * np.finfo(float).eps * self.capped[-1]
 
     def _cumulative(self, x: np.ndarray) -> np.ndarray:
@@ -559,10 +605,9 @@ class _IntervalBound:
         """The segment bounds ``v`` of the groups lo[i]..hi[i] with the hybrid
         rule applied."""
         if self.hybrid:
-            size = self.count[hi + 1] - self.count[lo]
             with np.errstate(divide="ignore", invalid="ignore"):
-                fires = _hybrid_fires(self.capped[hi + 1] - self.capped[lo] + self.slack,
-                                      size, self.n)
+                fires = _surely_fires(self.capped[hi + 1] - self.capped[lo], self.slack,
+                                      self.count[hi + 1] - self.count[lo], self.n)
             v = np.where(fires, self.at_t_n[hi + 1] - self.at_t_n[lo], v)
         return v
 
@@ -649,13 +694,15 @@ def _sure_bound(cut: _Cut, hybrid: bool, screen: bool = False) -> _IntervalBound
 
 
 def _within(ctx: _SortedBatch, cells: np.ndarray, lo: int, hi: int) -> tuple:
-    """The batch and cells restricted to the coordinates in cells lo..hi,
-    when that drops at least half of them; a smaller saving does not pay for
-    the copy, in time or in memory."""
+    """(batch, cells, keep): the batch and cells restricted to the
+    coordinates in cells lo..hi when that drops at least half of them (a
+    smaller saving does not pay for the copy, in time or in memory), and
+    which of the coordinates returned lie in cells lo..hi."""
     keep = (cells >= lo) & (cells <= hi)
-    if 2 * np.count_nonzero(keep) > keep.size:
-        return ctx, cells
-    return ctx.restrict(keep), cells[keep]
+    size = np.count_nonzero(keep)
+    if 2 * size > keep.size:
+        return ctx, cells, keep
+    return ctx.restrict(keep), cells[keep], np.ones(size, dtype=bool)
 
 
 def _split_points(grid: np.ndarray, side: np.ndarray) -> np.ndarray:
@@ -731,8 +778,11 @@ class _Cut:
             width = self.count[b + 1] - self.count[a]
             e = s + max(1, int(np.count_nonzero(
                 np.arange(1, a.size + 1) * (width + 1) <= _CHUNK_ELEMENTS)))
-            sub, sub_cells = _within(ctx, cells, a[e - s - 1], b[e - s - 1])
-            t[s:e], v[s:e] = term(sub, (sub_cells >= lo[s:e, None]) & (sub_cells <= hi[s:e, None]))
+            sub, sub_cells, keep = _within(ctx, cells, a[e - s - 1], b[e - s - 1])
+            # the coordinates of one group are those the chunk keeps
+            mask = (keep[None] if e - s == 1
+                    else (sub_cells >= lo[s:e, None]) & (sub_cells <= hi[s:e, None]))
+            t[s:e], v[s:e] = term(sub, mask)
             s = e
         return t, v
 
@@ -741,7 +791,7 @@ class _Cut:
         a..m-1 alone when that halves the batch."""
         b = np.arange(a, self.m)
         return self.terms(self.rest, np.full(b.size, a), b,
-                          _within(self.ctx, self.cells, a, self.m - 1))
+                          _within(self.ctx, self.cells, a, self.m - 1)[:2])
 
 
 _SIGN = np.int64(-(2**63))
@@ -954,10 +1004,13 @@ def _sure_cut(batch: DataBatch, grid: np.ndarray, hybrid: bool, k_max: int = 2) 
     scores exactly only the head, middle and tail groups of the pairs it
     cannot rule out, and the K = 1 and K = 2 fits ``select_k`` takes from the
     same search. A K = 2 prune of the splits (``fit_asus`` at K = 2) is as
-    sound as the realized loss's and about doubles Monte Carlo throughput,
-    but the benchmark holds every cycle's outputs, so completing more cycles
-    raised its peak memory on the one-sample workload by 11.7%, beyond its
-    bound (ROADMAP item 6). ``_search`` prunes no K >= 4.
+    sound as the realized loss's. On a copy with it (seed 7, one 55-s run
+    each) the benchmark's ``reps_per_s`` went from 9.54 to 23.2 on
+    ``mc-one-sample`` and from 9.53 to 26.0 on ``mc-two-sample``. But the
+    benchmark keeps about 0.11 MB of every completed cycle, and its cycles
+    went from 53 to 115 and from 44 to 83, so ``peak_rss_mb`` rose by 13.1%
+    and 9.6%, beyond its 5% bound (ROADMAP item 6). ``_search`` prunes no
+    K >= 4.
     """
     ctx = _SortedBatch(batch, batch.s)
     term = functools.partial(_sure_group, hybrid=hybrid)

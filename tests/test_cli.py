@@ -368,6 +368,18 @@ def test_overflowing_row_exits_naming_it(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv", "o.csv", "r.json"]
 
 
+def test_nonpositive_sigma_exits_naming_its_row(tmp_path, capsys):
+    """sigma 0 on the second data row: estimate exits 1 naming index 1 and
+    writes nothing."""
+    path = tmp_path / "batch.csv"
+    write_batch_csv(path, [(f"c{i}", "1.5", "0" if i == 1 else "1.0", f"{i}") for i in range(20)])
+    argv = ["estimate", "--input", str(path), "--output", str(tmp_path / "o.csv"),
+            "--report", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: sigma is not positive at index 1: 0.0\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv"]
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("command", [["estimate", "--report", "r.json"], ["sweep"],
                                      ["choose-k", "--kmax", "3"]])

@@ -9,6 +9,7 @@ from auxshrink import (
     HyperParams,
     apply_estimator,
     fit_asus,
+    fit_group_threshold,
     loss,
     partition,
     soft_estimate,
@@ -237,6 +238,27 @@ class TestValidation:
         fields[field][3] = bad
         with pytest.raises(ValueError, match=rf"^{field} is not finite at index 3: "):
             DataBatch(**fields)
+
+    @pytest.mark.parametrize("sigma, message", [
+        ([1.0, 0.0, -2.0], "sigma is not positive at index 1: 0.0"),
+        ([-0.5, 1.0, 1.0], "sigma is not positive at index 0: -0.5"),
+    ])
+    def test_batch_names_the_first_nonpositive_sigma(self, sigma, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DataBatch(y=np.ones(3), sigma=sigma, s=np.arange(3.0))
+
+    @pytest.mark.parametrize("sigma, message", [
+        (0.0, "sigma is not positive: 0.0"),
+        ([1.0, 2.0, -1.0], "sigma is not positive at index 2: -1.0"),
+        ([[1.0, 0.0]], r"sigma is not positive at index \(0, 1\): 0.0"),
+    ])
+    def test_soft_estimate_names_the_first_nonpositive_sigma(self, sigma, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            soft_estimate(1.0, sigma, 0.5)
+
+    def test_group_threshold_names_the_first_nonpositive_sigma(self):
+        with pytest.raises(ValueError, match="^sigma is not positive at index 1: 0.0$"):
+            fit_group_threshold([0.5, 1.0, 2.0], [1.0, 0.0, 0.0], 100)
 
     def test_batch_reports_first_non_finite_index(self):
         with pytest.raises(ValueError, match="index 1:"):

@@ -47,6 +47,22 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, not "):
             ScenarioSpec(family="one-sample-s1", n=1000, **{field: value})
 
+    @pytest.mark.parametrize("seed", [True, 1.5, 3.0, "3", None, -1])
+    def test_seed_that_is_not_a_count_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer of at least 0, not "):
+            ScenarioSpec(family="two-sample-s2", n=50, seed=seed)
+
+    def test_numpy_and_child_seeds_generate(self):
+        want = generate(ScenarioSpec("two-sample-s2", n=50, seed=7))
+        got = generate(ScenarioSpec("two-sample-s2", n=50, seed=np.uint64(7)))
+        np.testing.assert_array_equal(got.y, want.y)
+        # run_risk_experiment's child seeds span the whole uint64 range
+        child = np.random.SeedSequence(0).generate_state(4, np.uint64)
+        assert child.max() >= 2**63
+        for seed in child:
+            generate(ScenarioSpec("two-sample-s2", n=50, seed=int(seed)))
+            generate(ScenarioSpec("two-sample-s2", n=50, seed=seed))
+
     def test_numpy_integers_generate_as_the_ints(self):
         want = generate(ScenarioSpec("one-sample-s1", n=400, m=12, aux_variant=2, seed=3))
         got = generate(ScenarioSpec("one-sample-s1", n=np.int64(400), m=np.int32(12),
