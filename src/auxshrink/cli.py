@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -57,15 +56,6 @@ def _round12(x):
     if isinstance(x, (np.integer,)):
         return int(x)
     return x
-
-
-def _csv(header, rows) -> str:
-    """CSV text: the header line, then one line per row."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
 
 
 def _commit(files) -> None:
@@ -199,9 +189,10 @@ def cmd_sweep(args) -> int:
 def cmd_choose_k(args) -> int:
     batch, _ = read_batch_csv(args.input)
     sel = select_k(batch, args.kmax, mn_factor=args.mn_factor, hybrid=args.hybrid)
-    rows = ([i, f"{sv:.17g}", int(i == sel.k_selected), int(i == sel.k_elbow)]
-            for i, sv in enumerate(sel.sure_values.tolist(), start=1))
-    _commit([(args.output, _csv(["k", "sure", "selected", "elbow"], rows))])
+    rows = ((k, sv, k == sel.k_selected, k == sel.k_elbow)
+            for k, sv in enumerate(sel.sure_values.tolist(), start=1))
+    text = "k,sure,selected,elbow\n" + "".join(map("%d,%.17g,%d,%d\n".__mod__, rows))
+    _commit([(args.output, text)])
     return 0
 
 
@@ -246,12 +237,13 @@ def cmd_simulate(args) -> int:
         mn_factor=args.mn_factor,
         hybrid=args.hybrid,
     )
-    losses = ([r, nm, f"{lv:.17g}"] for nm, res in report.results.items()
+    # registry names hold no character a CSV cell quotes
+    losses = ((r, nm, lv) for nm, res in report.results.items()
               for r, lv in enumerate(res.losses.tolist()))
     _commit([
         (args.output, json.dumps(_round12(report.to_dict()), indent=2) + "\n"),
-        (os.path.splitext(args.output)[0] + "_losses.csv",
-         _csv(["replication", "estimator", "loss"], losses)),
+        (os.path.splitext(args.output)[0] + "_losses.csv", "replication,estimator,loss\n"
+         + "".join(map("%d,%s,%.17g\n".__mod__, losses))),
     ])
     return 0
 

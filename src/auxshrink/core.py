@@ -226,7 +226,7 @@ def sure(batch: DataBatch, hp: HyperParams) -> float:
                  + sum_i { sigma_i^2 (z_i ^ t_{g(i)})^2
                            - 2 sigma_i^2 I(z_i <= t_{g(i)}) } ]
 
-    Empty groups contribute nothing.
+    Empty groups contribute nothing; a value that overflows raises ValueError.
     """
     t_per = _group_thresholds_per_coord(batch, hp)
     return float(_sure_rows(batch, t_per[np.newaxis])[0])
@@ -238,10 +238,15 @@ def _sure_rows(batch: DataBatch, t_rows: np.ndarray) -> np.ndarray:
     ``t_rows`` has shape (r, n). Each row is summed on its own, so a row's
     value does not depend on the other rows of the stack.
     """
-    s2 = batch.sigma**2
-    z = np.abs(batch.y) / batch.sigma
-    inner = s2 * np.minimum(z, t_rows) ** 2 - 2.0 * s2 * (z <= t_rows)
-    return (s2.sum() + inner.sum(axis=1)) / batch.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = batch.sigma**2
+        z = np.abs(batch.y) / batch.sigma
+        inner = s2 * np.minimum(z, t_rows) ** 2 - 2.0 * s2 * (z <= t_rows)
+        values = (s2.sum() + inner.sum(axis=1)) / batch.n
+    if not np.isfinite(values).all():
+        raise ValueError("SURE overflows: sigma or min(|y|/sigma, t) is too large "
+                         "to square and sum")
+    return values
 
 
 def loss(theta, theta_hat) -> float:

@@ -25,6 +25,7 @@ from .core import (
 )
 from .tuner import (
     SearchConfig,
+    _fit_cut,
     _fit_grid,
     _infeasible,
     _loss_cut,
@@ -77,10 +78,7 @@ def fit_oracle_loss(batch: DataBatch, cfg: SearchConfig | None = None) -> FitRes
     if cfg is None:
         cfg = SearchConfig()
     grid = _fit_grid(batch.s, cfg.k, cfg.mn_factor)
-    best = _search(_loss_cut(batch, batch.s, grid), [cfg.k]).get(cfg.k)
-    if best is None:
-        raise _infeasible(cfg.k)
-    return _scored_fit(batch, HyperParams(*best[1:3]), best[3], "oracle-loss")
+    return _fit_cut(batch, _loss_cut(batch, batch.s, grid), cfg.k, "oracle-loss")
 
 
 def xi_split_candidates(xi: np.ndarray, cap: int | None = None) -> np.ndarray:

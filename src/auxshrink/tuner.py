@@ -298,7 +298,10 @@ class _SortedBatch:
     """A batch sorted by standardized magnitude, with the side sequence the
     groups split on. It holds the columns of the SURE terms (``capped``,
     ``s2z2``) or, with ``loss``, those of the realized loss (``loss_columns``,
-    which need batch.theta); the others are None."""
+    which need batch.theta); the others are None. ``order[i]`` is the row of
+    coordinate i. A SURE batch rejects a sigma^2 that overflows, naming its
+    row, and a (t_n^2 + 3) sum sigma^2 that does (the scale of every SURE
+    total, ``_sure_bound``); ``_loss_cut`` checks the loss columns."""
 
     def __init__(self, batch: DataBatch, side: np.ndarray, loss: bool = False):
         order = self._sort(np.abs(batch.y) / batch.sigma, batch.sigma, batch.n, loss)
@@ -318,19 +321,36 @@ class _SortedBatch:
         return ctx
 
     def _sort(self, z: np.ndarray, sigma: np.ndarray, n: int, loss: bool) -> np.ndarray:
-        """Sort by z and, without ``loss``, set the SURE columns; returns the order."""
+        """Sort by z and, without ``loss``, check sigma^2 and set the SURE
+        columns; returns the order."""
         self.n = n
         self.t_n = universal_threshold(n)
-        order = np.argsort(z, kind="stable")
+        self.order = order = np.argsort(z, kind="stable")
         self.zs = z[order]
-        self.s2s = sigma[order] ** 2
-        self.s2_total = float(self.s2s.sum())
-        self.side = self.capped = self.s2z2 = self.loss_columns = None
+        with np.errstate(over="ignore"):  # rejected below, or by _loss_cut
+            self.s2s = sigma[order] ** 2
+        self.side = self.capped = self.s2z2 = self.loss_columns = self.s2_total = None
         if not loss:
+            self._reject_overflow([self.s2s], "the SURE term", self.t_n**2 + 3.0)
+            self.s2_total = float(self.s2s.sum())
             with np.errstate(over="ignore"):  # SURE terms read s2z2 up to t_n only
                 self.capped = np.minimum(self.zs**2, self.t_n**2)
                 self.s2z2 = self.s2s * self.zs * self.zs
         return order
+
+    def _reject_overflow(self, columns, what: str, scale: float = 1.0) -> None:
+        """Raise ValueError naming the first row at which one of ``columns``,
+        z-sorted columns of this batch, is not finite, or saying that
+        ``scale`` times one's sum of magnitudes, which bounds every sum of it,
+        is not."""
+        bad = ~np.isfinite(np.stack(columns)).all(axis=0)
+        if bad.any():
+            raise ValueError(f"{what} overflows at row {self.order[bad].min()}: "
+                             "|y|, sigma or theta is too large")
+        with np.errstate(over="ignore"):
+            if not all(math.isfinite(scale * np.abs(col).sum()) for col in columns):
+                raise ValueError(f"{what} overflows summed over rows: "
+                                 "|y|, sigma or theta too large")
 
     @functools.cached_property
     def candidates(self) -> tuple:
@@ -356,7 +376,7 @@ class _SortedBatch:
             sub.capped, sub.s2z2 = self.capped[keep], self.s2z2[keep]
         else:
             sub.loss_columns = tuple(col[keep] for col in self.loss_columns)
-        sub.s2_total = None
+        sub.s2_total = sub.order = None
         return sub
 
     def members(self, mask: np.ndarray) -> np.ndarray:
@@ -846,8 +866,9 @@ def _search(cut: _Cut, ks) -> dict:
     """{K: (value, tau, t, sizes)} of the minimizer of
     value = (base + term of group 1 + ... + term of group K) / n, summed in
     that order, for each K in ``ks`` that a breakpoint vector can fit: its
-    K - 1 breakpoints, K thresholds and K group sizes. A K above m+1 cannot
-    take K-1 of the m grid points and is dropped first.
+    K - 1 breakpoints, K thresholds and K group sizes. Every term is finite
+    (the cut builders reject what overflows), so that is every K <= m + 1,
+    K - 1 of the m grid points; a larger K is dropped before any work.
 
     Every search runs here, on the (t, v) terms of the first groups, of the
     last groups and of the rows of ``middle``, a mapping a -> groups a..b,
@@ -880,8 +901,7 @@ def _search(cut: _Cut, ks) -> dict:
     best = {1: base + head_v[m]}
     for k in ks:
         if k > 1:
-            best[k] = np.min(part[k - 1] + tail_v, initial=np.inf)
-    ks = [k for k in ks if np.isfinite(best[k])]
+            best[k] = np.min(part[k - 1] + tail_v)
     # limit[k][g][b]: largest sum of base and g groups covering cells 0..b
     # from which the remaining groups reach the K = k minimum
     limit = {}
@@ -1004,13 +1024,9 @@ def _sure_cut(batch: DataBatch, grid: np.ndarray, hybrid: bool, k_max: int = 2) 
     scores exactly only the head, middle and tail groups of the pairs it
     cannot rule out, and the K = 1 and K = 2 fits ``select_k`` takes from the
     same search. A K = 2 prune of the splits (``fit_asus`` at K = 2) is as
-    sound as the realized loss's. On a copy with it (seed 7, one 55-s run
-    each) the benchmark's ``reps_per_s`` went from 9.54 to 23.2 on
-    ``mc-one-sample`` and from 9.53 to 26.0 on ``mc-two-sample``. But the
-    benchmark keeps about 0.11 MB of every completed cycle, and its cycles
-    went from 53 to 115 and from 44 to 83, so ``peak_rss_mb`` rose by 13.1%
-    and 9.6%, beyond its 5% bound (ROADMAP item 6). ``_search`` prunes no
-    K >= 4.
+    sound as the realized loss's, and more than doubles the benchmark's
+    ``reps_per_s``, but it waits on the benchmark's ``peak_rss_mb`` (ROADMAP
+    items 2 and 6). ``_search`` prunes no K >= 4.
     """
     ctx = _SortedBatch(batch, batch.s)
     term = functools.partial(_sure_group, hybrid=hybrid)
@@ -1024,7 +1040,7 @@ def _loss_cut(batch: DataBatch, side: np.ndarray, grid: np.ndarray) -> _Cut:
     is a column whose sum does: masked out of a group by 0, an inf would make
     the group's sums NaN, and an infinite sum would make them inf."""
     ctx = _SortedBatch(batch, side, loss=True)
-    _reject_overflow(batch, ctx.loss_columns, "the realized loss")
+    ctx._reject_overflow(ctx.loss_columns, "the realized loss")
     return _Cut(ctx, grid, _min_loss_threshold, _min_loss_threshold, 0.0, bound=_loss_bound)
 
 
@@ -1037,22 +1053,9 @@ def _screen_cut(batch: DataBatch, mn_factor: float = 50.0) -> _Cut:
     abs_s = np.abs(batch.s)
     tau_cands = np.union1d([0.0, abs_s.max()], _split_points(tau_grid(abs_s, mn_factor), abs_s))
     ctx = _SortedBatch(batch, abs_s)
-    _reject_overflow(batch, [ctx.s2z2], "the screening SURE term")
+    ctx._reject_overflow([ctx.s2z2], "the screening SURE term")
     return _Cut(ctx, tau_cands, _screen_group, functools.partial(_sure_group, hybrid=False),
                 ctx.s2_total, bound=functools.partial(_sure_bound, hybrid=False, screen=True))
-
-
-def _reject_overflow(batch: DataBatch, columns, what: str) -> None:
-    """Raise ValueError naming the first row of ``batch`` at which one of
-    ``columns``, z-sorted columns of its ``_SortedBatch``, is not finite, or
-    saying that one's sum of magnitudes, which bounds every sum of it, is not."""
-    bad = ~np.isfinite(np.stack(columns)).all(axis=0)
-    if bad.any():
-        row = np.argsort(np.abs(batch.y) / batch.sigma, kind="stable")[bad].min()
-        raise ValueError(f"{what} overflows at row {row}: |y|, sigma or theta is too large")
-    with np.errstate(over="ignore"):
-        if not all(math.isfinite(np.abs(col).sum()) for col in columns):
-            raise ValueError(f"{what} overflows summed over rows: |y|, sigma or theta too large")
 
 
 def _fit_grid(s: np.ndarray, k: int, mn_factor: float) -> np.ndarray:
@@ -1080,12 +1083,17 @@ def _scored_fit(batch: DataBatch, hp: HyperParams, sizes: np.ndarray, name: str)
     )
 
 
+def _fit_cut(batch: DataBatch, cut: _Cut, k: int, name: str) -> FitResult:
+    """The scored fit of ``batch`` at the K = ``k`` minimizer of ``cut``."""
+    best = _search(cut, [k]).get(k)
+    if best is None:
+        raise _infeasible(k)
+    return _scored_fit(batch, HyperParams(*best[1:3]), best[3], name)
+
+
 def _fit_sure(batch: DataBatch, cfg: SearchConfig, name: str) -> FitResult:
     grid = _fit_grid(batch.s, cfg.k, cfg.mn_factor)
-    best = _search(_sure_cut(batch, grid, cfg.hybrid, cfg.k), [cfg.k]).get(cfg.k)
-    if best is None:
-        raise _infeasible(cfg.k)
-    return _scored_fit(batch, HyperParams(*best[1:3]), best[3], name)
+    return _fit_cut(batch, _sure_cut(batch, grid, cfg.hybrid, cfg.k), cfg.k, name)
 
 
 def fit_sureshrink(batch: DataBatch, hybrid: bool = True) -> FitResult:
@@ -1151,23 +1159,19 @@ def select_k(
     """Fit K = 1..k_max and report the SURE-minimizing K.
 
     One set of group terms serves every K, and each K's fit equals
-    fit_asus at that K. The primary rule is the SURE argmin. An elbow
-    heuristic is reported alongside: the last K whose SURE improvement over
-    K-1 is at least 5% relative.
+    fit_asus at that K; a k_max above m + 1, for m split points, raises
+    ValueError naming K = m + 2. The primary rule is the SURE argmin. An
+    elbow heuristic is reported alongside: the last K whose SURE
+    improvement over K-1 is at least 5% relative.
     """
     _check_integer(k_max, "k_max", 1)
     _check_mn_factor(mn_factor)
     _check_hybrid(hybrid)
     grid = _fit_grid(batch.s, k_max, mn_factor)
-    if k_max > grid.size + 1:  # every K up to grid.size + 1 fits: no cell is empty
+    if k_max > grid.size + 1:  # _search's rule, checked before the cut is built
         raise _infeasible(grid.size + 2)
     fits = _search(_sure_cut(batch, grid, hybrid, k_max), range(1, k_max + 1))
-    sures = []
-    for k in range(1, k_max + 1):
-        if k not in fits:
-            raise _infeasible(k)
-        sures.append(sure(batch, HyperParams(*fits[k][1:3])))
-    sures = np.array(sures)
+    sures = np.array([sure(batch, HyperParams(tau, t)) for _, tau, t, _ in fits.values()])
     k_selected = int(np.argmin(sures)) + 1
     k_elbow = 1
     for k in range(2, k_max + 1):

@@ -9,6 +9,7 @@ import pytest
 from auxshrink import HyperParams, ScenarioSpec, SearchConfig, fit_asus, generate, sure
 from auxshrink import tuner
 from auxshrink.cli import main, read_batch_csv
+from test_tuner import sigma_overflow_batch
 
 
 def write_batch_csv(path, rows, header=("id", "y", "sigma", "s")):
@@ -366,6 +367,25 @@ def test_overflowing_row_exits_naming_it(tmp_path, capsys):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv"]
         assert main([*argv, "--method", "asus"]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv", "o.csv", "r.json"]
+
+
+@pytest.mark.parametrize("command", [["estimate", "--report", "r.json"], ["sweep"],
+                                     ["choose-k", "--kmax", "3"]])
+def test_sigma_whose_square_overflows_exits_naming_its_row(tmp_path, capsys, command):
+    """sigma = y = 1e160 at row 5: every SURE command exits 1 naming the row,
+    writes nothing and emits no RuntimeWarning."""
+    b = sigma_overflow_batch()
+    path = tmp_path / "batch.csv"
+    columns = b.y.tolist(), b.sigma.tolist(), b.s.tolist()
+    write_batch_csv(path, [(f"c{i}", *map(repr, row)) for i, row in enumerate(zip(*columns))])
+    argv = [command[0], "--input", str(path), "--output", str(tmp_path / "o.csv"),
+            *(str(tmp_path / a) if a.endswith(".json") else a for a in command[1:])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: the SURE term overflows at row 5: |y|, sigma or theta is too large\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv"]
 
 
 def test_nonpositive_sigma_exits_naming_its_row(tmp_path, capsys):

@@ -27,6 +27,8 @@ import pytest
 
 from auxshrink.cli import main
 
+pytestmark = pytest.mark.bit_identity
+
 GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
 N_ROWS = 400
 SIMULATE = {"scenario": "toy", "n": 500, "reps": 3, "seed": 11,

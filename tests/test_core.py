@@ -147,6 +147,20 @@ class TestSure:
         est_scaled = apply_estimator(scaled, hp)
         np.testing.assert_allclose(est_scaled, c * est, rtol=1e-12, atol=1e-14)
 
+    def test_overflow_is_named(self):
+        """As for the loss: sigma = 1e160 squares to inf, and so does the
+        thresholded z of y = 1e160 (sigma 1) under a threshold above it."""
+        y, sigma = np.ones(4), np.ones(4)
+        y[2] = sigma[2] = 1e160
+        huge = DataBatch(y=y, sigma=sigma, s=np.arange(4.0))
+        wide = DataBatch(y=[1e160, 1.0], sigma=[1.0, 1.0], s=[0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for batch, t in ((huge, 1.0), (wide, 1e200)):
+                with pytest.raises(ValueError, match=r"^SURE overflows: sigma or "
+                                                     r"min\(\|y\|/sigma, t\) is too large"):
+                    sure(batch, HyperParams(tau=[], t=[t]))
+
 
 class TestLoss:
     def test_identical_is_zero(self):

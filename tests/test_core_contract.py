@@ -25,6 +25,8 @@ from auxshrink import (
 from auxshrink.sim import ESTIMATORS
 from auxshrink.tuner import SearchConfig
 
+pytestmark = pytest.mark.bit_identity
+
 SPECS = {
     "one-sample-s1": dict(n=600, m=10, aux_variant=3),
     "one-sample-s2": dict(n=1200, m=10, aux_variant=2),

@@ -39,6 +39,8 @@ from auxshrink.tuner import _screen_cut, _screen_group
 from test_loss_bound import unbounded
 from test_search_equivalence import make_batch
 
+pytestmark = pytest.mark.bit_identity
+
 SPECS = {
     "one-sample-s1": ScenarioSpec("one-sample-s1", n=1000, m=200, aux_variant=2, seed=12),
     "two-sample-s2": ScenarioSpec("two-sample-s2", n=1000, seed=12),

@@ -18,6 +18,7 @@ from auxshrink import (
     universal_threshold,
 )
 from auxshrink.sim import _SideOracleAccumulator
+from test_tuner import sigma_overflow_batch
 
 
 def signal_batch(rng, n=500, n_sig=100, amp=5.0, inverted_aux=False):
@@ -250,6 +251,20 @@ class TestOverflowingRow:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{what} overflows at row 7:"):
                 fit(overflow_batch())
+
+    @pytest.mark.parametrize("fit, what", [
+        (fit_auxscr, "the SURE term"),
+        (fit_oracle_loss, "the realized loss"),
+        (fit_oracle_side, "the realized loss"),
+    ])
+    def test_sigma_whose_square_overflows_is_named(self, fit, what):
+        """sigma = y = 1e160 at row 5: the screening fit's SURE batch rejects
+        its sigma^2, the loss fits their loss columns."""
+        b = sigma_overflow_batch(theta=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{what} overflows at row 5:"):
+                fit(dataclasses.replace(b, xi=b.s))
 
     def test_overflowing_theta_is_named(self):
         b = overflow_batch()

@@ -44,6 +44,8 @@ from auxshrink import (
 )
 from auxshrink.sim import _SideOracleAccumulator
 
+pytestmark = pytest.mark.bit_identity
+
 GOLDEN_PATH = Path(__file__).with_name("fit_golden.json")
 REL_TOL = 1e-12
 SEEDS = (11, 12)

@@ -27,6 +27,8 @@ import pytest
 
 from auxshrink import ScenarioSpec, generate, run_risk_experiment, sim
 
+pytestmark = pytest.mark.bit_identity
+
 GOLDEN_PATH = Path(__file__).with_name("harness_golden.json")
 REPS = 3
 ESTIMATORS = ("oracle", "sureshrink", "asus", "aux-scr", "ejs", "oracle-loss")

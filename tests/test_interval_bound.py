@@ -56,6 +56,8 @@ from test_search_equivalence import (
     make_batch,
 )
 
+pytestmark = pytest.mark.bit_identity
+
 OBJECTIVES = ("sure-hybrid", "sure-plain", "loss")
 
 

@@ -22,6 +22,8 @@ from auxshrink.estimators import xi_split_candidates
 from auxshrink.tuner import _fit_grid, _loss_bound, _loss_cut, _search
 from test_search_equivalence import BATCHES, assert_same, make_batch
 
+pytestmark = pytest.mark.bit_identity
+
 SIZES = (503, 2000, 5000)
 # generator arguments beyond n and seed; m is kept small, as generation
 # draws m rows of auxiliary noise

@@ -39,6 +39,8 @@ from test_loss_bound import (
 )
 from test_search_equivalence import assert_same
 
+pytestmark = pytest.mark.bit_identity
+
 
 def signed(batch: DataBatch, seed: int = 0) -> DataBatch:
     """The batch with S given random signs: the screen is then -tau <= S <= tau."""

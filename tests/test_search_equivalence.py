@@ -36,6 +36,8 @@ from auxshrink.tuner import (
     _SortedBatch,
 )
 
+pytestmark = pytest.mark.bit_identity
+
 K_VALUES = (1, 2, 3, 4, 5)
 OBJECTIVES = ("sure-hybrid", "sure-plain", "oracle-loss")
 

@@ -17,6 +17,8 @@ from auxshrink import DataBatch, ScenarioSpec, generate, universal_threshold
 from auxshrink.sim import _SideOracleAccumulator
 from brute_force import SideOracleReference
 
+pytestmark = pytest.mark.bit_identity
+
 RTOL = 1e-12
 REPS = 3
 

@@ -19,6 +19,8 @@ from auxshrink import tuner
 from auxshrink.tuner import _SortedBatch, _fit_grid, _sure_group
 from test_search_equivalence import hybrid_bound_batch
 
+pytestmark = pytest.mark.bit_identity
+
 
 def magnitudes(rng, size: int, t_n: float, ties: bool) -> np.ndarray:
     """|y|/sigma values: continuous and distinct, or else with tied values,
@@ -53,8 +55,7 @@ def test_kernel_matches_each_group_on_its_own(seed, ties, hybrid):
     assert (ctx.candidates[2] is None) != ties
     mask = masks(rng, 40, z.size)
     t, v = _sure_group(ctx, mask, hybrid)
-    assert (t[0], v[0]) == (0.0, 0.0)  # the empty row
-    for i in range(1, mask.shape[0]):
+    for i in range(mask.shape[0]):  # row 0 is empty
         want = brute_force.sure_group(ctx, mask[i], hybrid)
         assert (t[i], v[i]) == want, i
 

@@ -16,6 +16,8 @@ import pytest
 from auxshrink import DataBatch, HyperParams, ScenarioSpec, SearchConfig, generate, sure, sweep_tau
 from auxshrink.sim import FAMILIES
 
+pytestmark = pytest.mark.bit_identity
+
 SIZES = {
     "one-sample-s1": (601, 1280),
     "one-sample-s2": (1001, 1283),

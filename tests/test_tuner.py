@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,9 +25,17 @@ from auxshrink import (
 )
 import brute_force
 from auxshrink import tuner
-from auxshrink.tuner import _SortedBatch, _fit_grid, _split_points
+from auxshrink.tuner import (
+    _SortedBatch,
+    _fit_grid,
+    _loss_cut,
+    _screen_cut,
+    _search,
+    _split_points,
+    _sure_cut,
+)
 from brute_force import _objective_values
-from test_search_equivalence import hybrid_bound_batch
+from test_search_equivalence import BATCHES, designed_tie_batch, hybrid_bound_batch, make_batch
 
 
 def random_batch(rng, n, with_theta=False):
@@ -491,3 +501,81 @@ def test_one_sample_fit_shape_matches_reported_table_row():
     assert 3.8 <= r.hp.t[0] <= universal_threshold(5000)
     assert 0.0 <= r.hp.t[1] <= 0.4
     assert r.loss_value < fit_sureshrink(b).loss_value
+
+
+def sigma_overflow_batch(value: float = 1e160, theta: bool = False) -> DataBatch:
+    """300 rows whose row 5 has sigma = y = ``value``: z is 1 there, and at
+    1e160 sigma^2 overflows to inf."""
+    rng = np.random.default_rng(64)
+    y, s = rng.normal(0, 1, (2, 300))
+    sigma = np.ones(300)
+    y[5] = sigma[5] = value
+    return DataBatch(y=y, sigma=sigma, s=s, theta=np.zeros(300) if theta else None)
+
+
+class TestSigmaOverflow:
+    """Every SURE fit builds a ``_SortedBatch``, which names the row whose
+    sigma^2 overflows, with no RuntimeWarning on the way."""
+
+    @pytest.mark.parametrize("fit", [
+        fit_sureshrink,
+        fit_asus,
+        lambda b: fit_asus(b, SearchConfig(k=3)),
+        lambda b: fit_asus(b, SearchConfig(k=4, mn_factor=2)),
+        lambda b: select_k(b, 3),
+        sweep_tau,
+        lambda b: fit_group_threshold(np.abs(b.y) / b.sigma, b.sigma, b.n),
+    ])
+    def test_sure_fits_name_the_row(self, fit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the SURE term overflows at row 5: "
+                                                 r"\|y\|, sigma or theta is too large$"):
+                fit(sigma_overflow_batch())
+
+    @pytest.mark.parametrize("fit", [fit_sureshrink, fit_asus, lambda b: select_k(b, 3)])
+    def test_sum_that_overflows_the_scale_is_named(self, fit):
+        """sigma^2 = 2.5e307 is finite, and so is the sum of sigma^2; times
+        t_n^2 + 3 = 2 ln 300 + 3 it is not, and a SURE total may reach that."""
+        b = sigma_overflow_batch(5e153)
+        assert np.isfinite((b.sigma**2).sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the SURE term overflows summed over rows"):
+                fit(b)
+
+
+def search_batch(name: str) -> tuple:
+    """(batch with theta, mn_factor): the batches the search is checked on."""
+    if name in BATCHES:
+        return make_batch(name)
+    batch, mn_factor = {
+        "designed-tie": designed_tie_batch,
+        "hybrid-bound": lambda: (hybrid_bound_batch(0)[0], 1.0),
+        "few-ulp": lambda: (few_ulp_batch(), 4.0),
+    }[name]()
+    if batch.theta is None:
+        batch = dataclasses.replace(batch, theta=np.where(np.abs(batch.y) > 3, batch.y, 0.0))
+    return batch, mn_factor
+
+
+@pytest.mark.parametrize("name", [*sorted(BATCHES), "designed-tie", "hybrid-bound", "few-ulp"])
+def test_search_fits_every_k_up_to_m_plus_one(name):
+    """Every cell of a search grid holds a coordinate and every term is
+    finite, so ``_search`` returns each K <= m + 1 with a finite value and K
+    nonempty groups: SURE cuts with the hybrid rule on and off (pruned when
+    m + 1 is 3), the realized loss's (pruned up to 3) and the screening
+    cut at K = 2."""
+    batch, mn_factor = search_batch(name)
+    grid = _split_points(tau_grid(batch.s, mn_factor), batch.s)
+    ks = range(1, grid.size + 2)
+    for cut in (_sure_cut(batch, grid, True, grid.size + 1),
+                _sure_cut(batch, grid, False, grid.size + 1),
+                _loss_cut(batch, batch.s, grid)):
+        fits = _search(cut, ks)
+        assert list(fits) == list(ks)
+        for k, (value, tau, t, sizes) in fits.items():
+            assert np.isfinite(value) and (tau.size, t.size) == (k - 1, k)
+            assert sizes.min() > 0 and sizes.sum() == batch.n
+    value, tau, t, sizes = _search(_screen_cut(batch, mn_factor), [2])[2]
+    assert np.isfinite(value) and sizes.sum() == batch.n
