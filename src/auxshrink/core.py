@@ -44,12 +44,6 @@ def _finite(x, name: str) -> np.ndarray:
     return _require(arr, np.isfinite(arr), name, "finite")
 
 
-def _positive(arr: np.ndarray, name: str) -> np.ndarray:
-    """``arr``, whose first entry that is not positive raises ValueError
-    naming ``name`` and the entry's index."""
-    return _require(arr, arr > 0, name, "positive")
-
-
 def _require(arr: np.ndarray, ok: np.ndarray, name: str, what: str) -> np.ndarray:
     """``arr``; where ``ok`` is false, ValueError naming ``name``, the first
     such entry's index and value, and what it is not."""
@@ -69,6 +63,38 @@ def _check_integer(value, name: str, least: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer{floor}, not {value!r}")
 
 
+def _envelope(sigma, y=None, theta=None, z=None) -> None:
+    """Raise ValueError naming the first entry at which sigma is not positive,
+    or sigma^2, 1/sigma^2, z^2 = (|y|/sigma)^2, y^2 = sigma^2 z^2 or, with
+    ``theta``, theta^2, (y - theta)^2 or ((y - theta)/sigma)^2 is not finite
+    (``z`` may stand for ``y``); else unless 16 E is finite. E = 269 sum
+    sigma^2 + sum y^2 + sum 1/sigma^2 + 4 sum z^2 + sum theta^2 + 2 sum
+    (y - theta)^2 adds the SURE and screening scale (``tuner._sure_bound``),
+    the loss scale (``_loss_bound``; 269 = 3 t_n^2 + 5, t_n^2 = 2 ln n < 88)
+    and the sums of ``fit_ejs`` (its dispersion is at most 4 sum z^2). A
+    search's values reach 3 scales (``_IntervalBound``) and add a few."""
+    _require(sigma, sigma > 0, "sigma", "positive")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s2 = sigma * sigma
+        z = np.abs(y) / sigma if z is None else z
+        squares = {"sigma^2": s2, "1/sigma^2": 1.0 / s2, "(|y|/sigma)^2": z * z,
+                   "y^2": s2 * z * z}
+        if theta is not None:
+            err = y - theta
+            squares.update({"theta^2": theta * theta, "(y - theta)^2": err * err,
+                            "((y - theta)/sigma)^2": (err / sigma) ** 2})
+        cols = np.broadcast_arrays(*squares.values())
+        sums = [col.sum() for col in cols]  # finite sums of squares have finite terms
+        if not np.isfinite(sums).all():
+            ok = np.isfinite(np.stack(cols)).reshape(len(cols), -1)
+            if not ok.all():
+                q = int(np.argmin(ok[:, np.argmin(ok.all(axis=0))]))
+                _require(cols[q], np.isfinite(cols[q]), list(squares)[q], "finite")
+        weights = (269.0, 1.0, 4.0, 1.0, 1.0, 2.0)  # the last square is not summed
+        if not math.isfinite(16.0 * sum(w * x for w, x in zip(weights, sums))):
+            raise ValueError("the squares of y, sigma and theta overflow summed over rows")
+
+
 def _finite_vector(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
@@ -78,7 +104,7 @@ def _finite_vector(x, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DataBatch:
-    """One observed problem instance; every given field must be finite.
+    """One observed problem instance, finite and within ``_envelope``.
 
     y       primary statistics, one per coordinate
     sigma   known noise standard deviations, all > 0
@@ -101,7 +127,6 @@ class DataBatch:
             raise ValueError("batch must contain at least one coordinate")
         if sigma.shape != y.shape or s.shape != y.shape:
             raise ValueError("y, sigma and s must have identical length")
-        _positive(sigma, "sigma")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "s", s)
@@ -112,6 +137,7 @@ class DataBatch:
                 if val.shape != y.shape:
                     raise ValueError(f"{name} must have length {y.size}")
                 object.__setattr__(self, name, val)
+        _envelope(sigma, y, self.theta)
 
     @property
     def n(self) -> int:
@@ -181,12 +207,12 @@ def soft_estimate(y_i, sigma_i, t):
     """Soft-threshold estimate: 0 when |y/sigma| <= t, else shrink by sigma*t.
 
     Accepts scalars or arrays (broadcasting elementwise); every entry must
-    be finite.
+    be finite, and y and sigma must lie in ``DataBatch``'s envelope.
     """
     y_i = _finite(y_i, "y")
     sigma_i = _finite(sigma_i, "sigma")
     t = _finite(t, "t")
-    _positive(sigma_i, "sigma")
+    _envelope(sigma_i, y_i)
     if np.any(t < 0):
         raise ValueError("threshold must be nonnegative")
     z = np.abs(y_i) / sigma_i
@@ -226,7 +252,7 @@ def sure(batch: DataBatch, hp: HyperParams) -> float:
                  + sum_i { sigma_i^2 (z_i ^ t_{g(i)})^2
                            - 2 sigma_i^2 I(z_i <= t_{g(i)}) } ]
 
-    Empty groups contribute nothing; a value that overflows raises ValueError.
+    Empty groups contribute nothing.
     """
     t_per = _group_thresholds_per_coord(batch, hp)
     return float(_sure_rows(batch, t_per[np.newaxis])[0])
@@ -238,15 +264,10 @@ def _sure_rows(batch: DataBatch, t_rows: np.ndarray) -> np.ndarray:
     ``t_rows`` has shape (r, n). Each row is summed on its own, so a row's
     value does not depend on the other rows of the stack.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        s2 = batch.sigma**2
-        z = np.abs(batch.y) / batch.sigma
-        inner = s2 * np.minimum(z, t_rows) ** 2 - 2.0 * s2 * (z <= t_rows)
-        values = (s2.sum() + inner.sum(axis=1)) / batch.n
-    if not np.isfinite(values).all():
-        raise ValueError("SURE overflows: sigma or min(|y|/sigma, t) is too large "
-                         "to square and sum")
-    return values
+    s2 = batch.sigma**2
+    z = np.abs(batch.y) / batch.sigma
+    inner = s2 * np.minimum(z, t_rows) ** 2 - 2.0 * s2 * (z <= t_rows)
+    return (s2.sum() + inner.sum(axis=1)) / batch.n
 
 
 def loss(theta, theta_hat) -> float:

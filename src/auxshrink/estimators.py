@@ -58,8 +58,7 @@ def fit_auxscr(batch: DataBatch, mn_factor: float = 50.0) -> FitResult:
 
     The search scores exactly only the cutoffs whose lower bound (the
     screening cut's, ``tuner._screen_cut``) can still reach the least SURE,
-    and returns bit for bit what scoring every cutoff returns. A row whose
-    sigma^2 z^2 overflows is rejected with a ValueError naming it.
+    and returns bit for bit what scoring every cutoff returns.
     """
     _, tau, t, sizes = _search(_screen_cut(batch, mn_factor), [2])[2]
     if (batch.s < 0).any():
@@ -71,8 +70,7 @@ def fit_auxscr(batch: DataBatch, mn_factor: float = 50.0) -> FitResult:
 
 def fit_oracle_loss(batch: DataBatch, cfg: SearchConfig | None = None) -> FitResult:
     """Best hyperparameters in hindsight: same search space as fit_asus,
-    realized loss as the objective. Requires batch.theta; a row whose loss
-    overflows is rejected with a ValueError naming it."""
+    realized loss as the objective. Requires batch.theta."""
     if batch.theta is None:
         raise ValueError("fit_oracle_loss requires batch.theta")
     if cfg is None:

@@ -77,8 +77,8 @@ from .core import (
     FitResult,
     HyperParams,
     _check_integer,
+    _envelope,
     _finite_vector,
-    _positive,
     _sure_rows,
     apply_estimator,
     loss,
@@ -171,8 +171,8 @@ def tau_grid(s, mn_factor: float = 50.0) -> np.ndarray:
 
     Returns m_n = ceil(mn_factor * ln n) points; the range endpoints
     themselves are excluded. A constant auxiliary sequence carries no
-    ordering information and is rejected, as is a non-finite one, and so is
-    an ``mn_factor`` that asks for more than 2^20 points.
+    ordering information and is rejected, as are a non-finite one, one whose
+    width times m_n overflows, and an ``mn_factor`` asking for over 2^20 points.
     """
     s = _finite_vector(s, "s")
     n = s.size
@@ -193,6 +193,8 @@ def tau_grid(s, mn_factor: float = 50.0) -> np.ndarray:
             f"grid points; at most {_GRID_LIMIT} are allowed"
         )
     m = int(math.ceil(size))
+    if not math.isfinite(m * (hi - lo)):
+        raise ValueError(f"s spans [{lo}, {hi}]: {m} times its width overflows")
     j = np.arange(1, m + 1, dtype=float)
     return lo + j * (hi - lo) / (m + 1)
 
@@ -288,7 +290,7 @@ def fit_group_threshold(z, sigma, n_global: int, hybrid: bool = True) -> float:
         raise ValueError("z and sigma must have equal length")
     if np.any(z < 0):
         raise ValueError("z must hold magnitudes |y|/sigma >= 0")
-    _positive(sigma, "sigma")
+    _envelope(sigma, z=z)
     ctx = _SortedBatch.of_group(z, sigma, n_global)
     t, _ = _sure_group(ctx, np.ones((1, z.size), dtype=bool), hybrid)
     return float(t[0])
@@ -299,9 +301,7 @@ class _SortedBatch:
     groups split on. It holds the columns of the SURE terms (``capped``,
     ``s2z2``) or, with ``loss``, those of the realized loss (``loss_columns``,
     which need batch.theta); the others are None. ``order[i]`` is the row of
-    coordinate i. A SURE batch rejects a sigma^2 that overflows, naming its
-    row, and a (t_n^2 + 3) sum sigma^2 that does (the scale of every SURE
-    total, ``_sure_bound``); ``_loss_cut`` checks the loss columns."""
+    coordinate i."""
 
     def __init__(self, batch: DataBatch, side: np.ndarray, loss: bool = False):
         order = self._sort(np.abs(batch.y) / batch.sigma, batch.sigma, batch.n, loss)
@@ -309,8 +309,7 @@ class _SortedBatch:
         if loss:
             y, theta, sigma = batch.y[order], batch.theta[order], batch.sigma[order]
             err = y - theta
-            with np.errstate(over="ignore"):  # _loss_cut rejects what overflows
-                self.loss_columns = (theta**2, err**2, sigma * np.sign(y) * err, self.s2s)
+            self.loss_columns = (theta**2, err**2, sigma * np.sign(y) * err, self.s2s)
 
     @classmethod
     def of_group(cls, z: np.ndarray, sigma: np.ndarray, n: int) -> "_SortedBatch":
@@ -321,36 +320,18 @@ class _SortedBatch:
         return ctx
 
     def _sort(self, z: np.ndarray, sigma: np.ndarray, n: int, loss: bool) -> np.ndarray:
-        """Sort by z and, without ``loss``, check sigma^2 and set the SURE
-        columns; returns the order."""
+        """Sort by z and, without ``loss``, set the SURE columns; returns the order."""
         self.n = n
         self.t_n = universal_threshold(n)
         self.order = order = np.argsort(z, kind="stable")
         self.zs = z[order]
-        with np.errstate(over="ignore"):  # rejected below, or by _loss_cut
-            self.s2s = sigma[order] ** 2
+        self.s2s = sigma[order] ** 2
         self.side = self.capped = self.s2z2 = self.loss_columns = self.s2_total = None
         if not loss:
-            self._reject_overflow([self.s2s], "the SURE term", self.t_n**2 + 3.0)
             self.s2_total = float(self.s2s.sum())
-            with np.errstate(over="ignore"):  # SURE terms read s2z2 up to t_n only
-                self.capped = np.minimum(self.zs**2, self.t_n**2)
-                self.s2z2 = self.s2s * self.zs * self.zs
+            self.capped = np.minimum(self.zs**2, self.t_n**2)
+            self.s2z2 = self.s2s * self.zs * self.zs
         return order
-
-    def _reject_overflow(self, columns, what: str, scale: float = 1.0) -> None:
-        """Raise ValueError naming the first row at which one of ``columns``,
-        z-sorted columns of this batch, is not finite, or saying that
-        ``scale`` times one's sum of magnitudes, which bounds every sum of it,
-        is not."""
-        bad = ~np.isfinite(np.stack(columns)).all(axis=0)
-        if bad.any():
-            raise ValueError(f"{what} overflows at row {self.order[bad].min()}: "
-                             "|y|, sigma or theta is too large")
-        with np.errstate(over="ignore"):
-            if not all(math.isfinite(scale * np.abs(col).sum()) for col in columns):
-                raise ValueError(f"{what} overflows summed over rows: "
-                                 "|y|, sigma or theta too large")
 
     @functools.cached_property
     def candidates(self) -> tuple:
@@ -474,12 +455,11 @@ def _min_loss_threshold(ctx: _SortedBatch, mask: np.ndarray) -> tuple:
     upper = np.full(member.shape, ctx.t_n)
     upper[:, :-1] = np.minimum.accumulate(
         np.where(member, cands, np.inf)[:, :0:-1], axis=1)[:, ::-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = suf_sc / np.where(suf_s2 > 0, suf_s2, 1.0)
-        ok = member & (suf_s2 > 0) & (vertex > cands) & (vertex < upper)
-        # no order statistic lies strictly inside a segment, so a vertex counts
-        # the same z values as the segment's left end
-        at_vertex = np.where(ok, _loss_at(parts, vertex), np.inf)
+    vertex = suf_sc / np.where(suf_s2 > 0, suf_s2, 1.0)
+    ok = member & (suf_s2 > 0) & (vertex > cands) & (vertex < upper)
+    # no order statistic lies strictly inside a segment, so a vertex counts
+    # the same z values as the segment's left end
+    at_vertex = np.where(ok, _loss_at(parts, vertex), np.inf)
     i = np.argmin(at_vertex, axis=1)
     tv, vv = vertex[rows, i], at_vertex[rows, i]
     # vertices and candidates each ascend along a row; the lower value wins,
@@ -867,8 +847,8 @@ def _search(cut: _Cut, ks) -> dict:
     value = (base + term of group 1 + ... + term of group K) / n, summed in
     that order, for each K in ``ks`` that a breakpoint vector can fit: its
     K - 1 breakpoints, K thresholds and K group sizes. Every term is finite
-    (the cut builders reject what overflows), so that is every K <= m + 1,
-    K - 1 of the m grid points; a larger K is dropped before any work.
+    (``DataBatch``), so that is every K <= m + 1, K - 1 of the m grid points;
+    a larger K is dropped before any work.
 
     Every search runs here, on the (t, v) terms of the first groups, of the
     last groups and of the rows of ``middle``, a mapping a -> groups a..b,
@@ -1036,11 +1016,8 @@ def _sure_cut(batch: DataBatch, grid: np.ndarray, hybrid: bool, k_max: int = 2) 
 
 def _loss_cut(batch: DataBatch, side: np.ndarray, grid: np.ndarray) -> _Cut:
     """The realized-loss terms of the groups on ``grid`` over ``side``, with
-    their interval bound. A row whose loss columns overflow is rejected, as
-    is a column whose sum does: masked out of a group by 0, an inf would make
-    the group's sums NaN, and an infinite sum would make them inf."""
+    their interval bound."""
     ctx = _SortedBatch(batch, side, loss=True)
-    ctx._reject_overflow(ctx.loss_columns, "the realized loss")
     return _Cut(ctx, grid, _min_loss_threshold, _min_loss_threshold, 0.0, bound=_loss_bound)
 
 
@@ -1048,12 +1025,10 @@ def _screen_cut(batch: DataBatch, mn_factor: float = 50.0) -> _Cut:
     """The screening terms of every cutoff on |S| (``fit_auxscr``), the split
     points of the grid on |S| with 0 (screen nothing) and max |S| (screen
     everything), screened group first, with their interval bound. Cell 0
-    (|S| = 0) and the top cell may be empty, and an empty group's term is 0.
-    A row whose s2 z^2 overflows is rejected (``_loss_cut``)."""
+    (|S| = 0) and the top cell may be empty, and an empty group's term is 0."""
     abs_s = np.abs(batch.s)
     tau_cands = np.union1d([0.0, abs_s.max()], _split_points(tau_grid(abs_s, mn_factor), abs_s))
     ctx = _SortedBatch(batch, abs_s)
-    ctx._reject_overflow([ctx.s2z2], "the screening SURE term")
     return _Cut(ctx, tau_cands, _screen_group, functools.partial(_sure_group, hybrid=False),
                 ctx.s2_total, bound=functools.partial(_sure_bound, hybrid=False, screen=True))
 

@@ -9,7 +9,7 @@ import pytest
 from auxshrink import HyperParams, ScenarioSpec, SearchConfig, fit_asus, generate, sure
 from auxshrink import tuner
 from auxshrink.cli import main, read_batch_csv
-from test_tuner import sigma_overflow_batch
+from test_tuner import sigma_overflow_rows
 
 
 def write_batch_csv(path, rows, header=("id", "y", "sigma", "s")):
@@ -348,8 +348,9 @@ class TestEstimate:
 
 
 def test_overflowing_row_exits_naming_it(tmp_path, capsys):
-    """y = 1e160 at row 5 overflows the screening term: aux-scr exits 1 with
-    the row named and writes nothing, with no RuntimeWarning; asus fits."""
+    """y = 1e160 at row 5 overflows z^2 (and the screening term): aux-scr and
+    asus alike exit 1 with the row named and write nothing, with no
+    RuntimeWarning."""
     rng = np.random.default_rng(63)
     y, s = rng.normal(0, 1, (2, 200))
     y[5] = 1e160
@@ -360,13 +361,30 @@ def test_overflowing_row_exits_naming_it(tmp_path, capsys):
             "--report", str(tmp_path / "r.json")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([*argv, "--method", "aux-scr"]) == 1
-        assert capsys.readouterr().err == (
-            "error: the screening SURE term overflows at row 5: "
-            "|y|, sigma or theta is too large\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv"]
-        assert main([*argv, "--method", "asus"]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv", "o.csv", "r.json"]
+        for method in ("aux-scr", "asus"):
+            assert main([*argv, "--method", method]) == 1
+            assert capsys.readouterr().err == (
+                "error: (|y|/sigma)^2 is not finite at index 5: inf\n")
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv"]
+
+
+def test_sigma_whose_inverse_square_overflows_exits_naming_its_row(tmp_path, capsys):
+    """y = 0, sigma = 1e-200 at row 5: sigma^2 is 0 and 1/sigma^2 inf, so ejs
+    would write NaN for every row. estimate exits 1 naming the row and writes
+    nothing, with no RuntimeWarning."""
+    rng = np.random.default_rng(67)
+    y, s = rng.normal(0, 1, (2, 300))
+    sigma = np.ones(300)
+    y[5], sigma[5] = 0.0, 1e-200
+    path = tmp_path / "batch.csv"
+    columns = y.tolist(), sigma.tolist(), s.tolist()
+    write_batch_csv(path, [(f"c{i}", *map(repr, row)) for i, row in enumerate(zip(*columns))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["estimate", "--input", str(path), "--output", str(tmp_path / "o.csv"),
+                     "--report", str(tmp_path / "r.json"), "--method", "ejs"]) == 1
+    assert capsys.readouterr().err == "error: 1/sigma^2 is not finite at index 5: inf\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv"]
 
 
 @pytest.mark.parametrize("command", [["estimate", "--report", "r.json"], ["sweep"],
@@ -374,17 +392,15 @@ def test_overflowing_row_exits_naming_it(tmp_path, capsys):
 def test_sigma_whose_square_overflows_exits_naming_its_row(tmp_path, capsys, command):
     """sigma = y = 1e160 at row 5: every SURE command exits 1 naming the row,
     writes nothing and emits no RuntimeWarning."""
-    b = sigma_overflow_batch()
     path = tmp_path / "batch.csv"
-    columns = b.y.tolist(), b.sigma.tolist(), b.s.tolist()
+    columns = [col.tolist() for col in sigma_overflow_rows()]
     write_batch_csv(path, [(f"c{i}", *map(repr, row)) for i, row in enumerate(zip(*columns))])
     argv = [command[0], "--input", str(path), "--output", str(tmp_path / "o.csv"),
             *(str(tmp_path / a) if a.endswith(".json") else a for a in command[1:])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        "error: the SURE term overflows at row 5: |y|, sigma or theta is too large\n")
+    assert capsys.readouterr().err == "error: sigma^2 is not finite at index 5: inf\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.csv"]
 
 

@@ -62,6 +62,16 @@ class TestSoftEstimate:
         with pytest.raises(ValueError):
             soft_estimate(1.0, 1.0, -0.5)
 
+    def test_rejects_what_a_batch_rejects(self):
+        """|y|/sigma overflows at y = 1e300, sigma = 1e-10, with no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^\(\|y\|/sigma\)\^2 is not finite: inf$"):
+                soft_estimate(1e300, 1e-10, 1.0)
+            with pytest.raises(ValueError, match=r"^\(\|y\|/sigma\)\^2 is not finite at "
+                                                 r"index 1: inf$"):
+                soft_estimate([1.0, 1e300], 1e-10, 1.0)
+
     def test_shrinkage_and_sign_properties(self):
         rng = np.random.default_rng(5)
         y = rng.normal(0, 3, 500)
@@ -148,18 +158,19 @@ class TestSure:
         np.testing.assert_allclose(est_scaled, c * est, rtol=1e-12, atol=1e-14)
 
     def test_overflow_is_named(self):
-        """As for the loss: sigma = 1e160 squares to inf, and so does the
-        thresholded z of y = 1e160 (sigma 1) under a threshold above it."""
+        """sigma = 1e160 squares to inf, and so does z of y = 1e160 (sigma 1),
+        which a threshold above it would leave in the sum: the batch is
+        rejected, naming the square and the row, before SURE is taken."""
         y, sigma = np.ones(4), np.ones(4)
         y[2] = sigma[2] = 1e160
-        huge = DataBatch(y=y, sigma=sigma, s=np.arange(4.0))
-        wide = DataBatch(y=[1e160, 1.0], sigma=[1.0, 1.0], s=[0.0, 1.0])
+        huge = dict(y=y, sigma=sigma, s=np.arange(4.0))
+        wide = dict(y=[1e160, 1.0], sigma=[1.0, 1.0], s=[0.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for batch, t in ((huge, 1.0), (wide, 1e200)):
-                with pytest.raises(ValueError, match=r"^SURE overflows: sigma or "
-                                                     r"min\(\|y\|/sigma, t\) is too large"):
-                    sure(batch, HyperParams(tau=[], t=[t]))
+            for batch, t, what in ((huge, 1.0, r"sigma\^2 is not finite at index 2"),
+                                   (wide, 1e200, r"\(\|y\|/sigma\)\^2 is not finite at index 0")):
+                with pytest.raises(ValueError, match=f"^{what}: inf$"):
+                    sure(DataBatch(**batch), HyperParams(tau=[], t=[t]))
 
 
 class TestLoss:
@@ -186,15 +197,16 @@ class TestLoss:
                 loss([-1e308, 0.0], [1e308, 0.0])  # the difference overflows too
 
     def test_fit_whose_loss_overflows_is_named(self):
-        # the fit keeps y = 1e160 (far above t_n), and its realized loss overflows
+        # the fit would keep y = 1e160 (far above t_n), and its realized loss
+        # would overflow; the batch names the row first
         b = make_batch(np.random.default_rng(41), 200)
         y = b.y.copy()
         y[3] = 1e160
-        batch = DataBatch(y=y, sigma=b.sigma, s=b.s, theta=np.zeros(200))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^the loss overflows"):
-                fit_asus(batch)
+            with pytest.raises(ValueError, match=r"^\(\|y\|/sigma\)\^2 is not finite at "
+                                                 r"index 3: "):
+                fit_asus(DataBatch(y=y, sigma=b.sigma, s=b.s, theta=np.zeros(200)))
 
 
 class TestApplyEstimator:

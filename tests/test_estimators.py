@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from auxshrink import (
     generate,
     universal_threshold,
 )
-from auxshrink.sim import _SideOracleAccumulator
+from auxshrink.sim import ESTIMATORS, _SideOracleAccumulator
 from test_tuner import sigma_overflow_batch
 
 
@@ -227,8 +228,8 @@ def test_two_sample_auxscr_sits_between_asus_and_sureshrink():
 
 
 def overflow_batch(theta: bool = True) -> DataBatch:
-    """A finite batch whose row 7 has y = 1e160 (sigma = 1): its y^2, and so
-    sigma^2 z^2 and (y - theta)^2, overflow to inf."""
+    """A finite batch whose row 7 has y = 1e160 (sigma = 1): its z^2, and so
+    sigma^2 z^2 and (y - theta)^2, overflow to inf, and building it raises."""
     b = signal_batch(np.random.default_rng(62), n=300, n_sig=60)
     y = b.y.copy()
     y[7] = 1e160
@@ -237,8 +238,9 @@ def overflow_batch(theta: bool = True) -> DataBatch:
 
 class TestOverflowingRow:
     """Masked out of a group by 0, an inf square would turn the group's sums
-    into NaN. The screening and loss fits reject its row by index; the SURE
-    fits never sum it and still fit. None of them emits a RuntimeWarning."""
+    into NaN. ``DataBatch`` rejects its row by index, so no fit sees it, and
+    no RuntimeWarning is emitted. ``what`` names the term of the fit that the
+    row would overflow."""
 
     @pytest.mark.parametrize("fit, what", [
         (fit_auxscr, "the screening SURE term"),
@@ -249,7 +251,8 @@ class TestOverflowingRow:
     def test_screening_and_loss_fits_name_the_row(self, fit, what):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{what} overflows at row 7:"):
+            with pytest.raises(ValueError, match=r"^\(\|y\|/sigma\)\^2 is not finite at "
+                                                 r"index 7: inf$"):
                 fit(overflow_batch())
 
     @pytest.mark.parametrize("fit, what", [
@@ -258,22 +261,27 @@ class TestOverflowingRow:
         (fit_oracle_side, "the realized loss"),
     ])
     def test_sigma_whose_square_overflows_is_named(self, fit, what):
-        """sigma = y = 1e160 at row 5: the screening fit's SURE batch rejects
-        its sigma^2, the loss fits their loss columns."""
-        b = sigma_overflow_batch(theta=True)
+        """sigma = y = 1e160 at row 5: its sigma^2 is named."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{what} overflows at row 5:"):
+            with pytest.raises(ValueError, match=r"^sigma\^2 is not finite at index 5: inf$"):
+                b = sigma_overflow_batch(theta=True)
                 fit(dataclasses.replace(b, xi=b.s))
 
     def test_overflowing_theta_is_named(self):
-        b = overflow_batch()
+        """theta = 1e160 at row 7. With y = 1e160 there y - theta is finite,
+        and z^2 is named, the first square of the row that is not; with y as
+        drawn theta^2 is."""
+        b = signal_batch(np.random.default_rng(62), n=300, n_sig=60)
         theta = b.theta.copy()
-        theta[7] = 1e160  # y - theta is finite, theta^2 is not
+        theta[7] = 1e160
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^the realized loss overflows at row 7:"):
-                fit_oracle_loss(dataclasses.replace(b, theta=theta))
+            for y7, what in ((1e160, r"\(\|y\|/sigma\)\^2"), (b.y[7], r"theta\^2")):
+                y = b.y.copy()
+                y[7] = y7
+                with pytest.raises(ValueError, match=f"^{what} is not finite at index 7: inf$"):
+                    fit_oracle_loss(DataBatch(y=y, sigma=b.sigma, s=b.s, theta=theta))
 
     @pytest.mark.parametrize("k", (2, 3))
     def test_loss_whose_sum_overflows_is_named(self, k):
@@ -282,27 +290,41 @@ class TestOverflowingRow:
         rng = np.random.default_rng(63)
         y = rng.standard_normal(400)
         y[:300] = 1e153
-        b = DataBatch(y=y, sigma=np.ones(400), s=rng.standard_normal(400), theta=np.zeros(400))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError,
-                               match="^the realized loss overflows summed over rows"):
+            with pytest.raises(ValueError, match="^the squares of y, sigma and theta overflow "
+                                                 "summed over rows$"):
+                b = DataBatch(y=y, sigma=np.ones(400), s=rng.standard_normal(400),
+                              theta=np.zeros(400))
                 fit_oracle_loss(b, SearchConfig(k=k))
 
     @pytest.mark.parametrize("k", (1, 2, 3))
-    def test_sure_fits_still_fit(self, k):
-        """A SURE term reads s2 z^2 only up to t_n, so the fit is that of the
-        batch with y = 1e10 at row 7, another z far above t_n."""
+    def test_sure_fits_name_the_row(self, k):
+        """A SURE term reads s2 z^2 only up to t_n, but one envelope holds for
+        every fit: the SURE fits reject the row as the others do."""
         fit = fit_sureshrink if k == 1 else (lambda b: fit_asus(b, SearchConfig(k=k)))
-        b = overflow_batch(theta=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = fit(b)
-        y = b.y.copy()
-        y[7] = 1e10
-        want = fit(dataclasses.replace(b, y=y))
-        np.testing.assert_array_equal(got.hp.tau, want.hp.tau)
-        np.testing.assert_array_equal(got.hp.t, want.hp.t)
-        np.testing.assert_array_equal(got.group_sizes, want.group_sizes)
-        assert got.sure_value == want.sure_value
-        assert got.theta_hat[7] > 1e159
+            with pytest.raises(ValueError, match=r"^\(\|y\|/sigma\)\^2 is not finite at "
+                                                 r"index 7: inf$"):
+                fit(overflow_batch(theta=False))
+
+
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+@pytest.mark.parametrize("y5, sigma5, what", [
+    (1.0, 1e-160, "1/sigma^2"),  # the loss bound's ((y - theta)/sigma)^2 would be inf
+    (0.0, 1e-200, "1/sigma^2"),  # sigma^2 is 0, and ejs would divide by it
+    (1e300, 1e-10, "(|y|/sigma)^2"),  # |y|/sigma is inf
+    (1e160, 1e160, "sigma^2"),  # sigma^2 is inf
+])
+def test_row_outside_the_envelope_is_named(name, y5, sigma5, what):
+    """300 finite rows, one extreme at row 5: every registered fit raises
+    naming the square and the row, with no RuntimeWarning."""
+    y, s = np.random.default_rng(66).normal(0, 1, (2, 300))
+    sigma = np.ones(300)
+    y[5], sigma[5] = y5, sigma5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(what)} is not finite at index 5: inf$"):
+            b = DataBatch(y=y, sigma=sigma, s=s, theta=np.zeros(300))
+            ESTIMATORS[name].fit(b, SearchConfig())

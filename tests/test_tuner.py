@@ -12,6 +12,7 @@ from auxshrink import (
     ScenarioSpec,
     SearchConfig,
     fit_asus,
+    fit_auxscr,
     fit_group_threshold,
     fit_sureshrink,
     gen_toy,
@@ -106,6 +107,19 @@ class TestTauGrid:
     def test_degenerate_sequence_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             tau_grid(np.ones(10), 50.0)
+
+    @pytest.mark.parametrize("fit", [lambda b: tau_grid(b.s), fit_asus, fit_auxscr])
+    def test_sequence_whose_grid_overflows_is_rejected(self, fit):
+        """s = +-1.7e308 in two of 300 rows: the width of s (of |S| for the
+        screening fit) times m = 286 overflows, so grid points would be inf.
+        Every fit names s, with no RuntimeWarning."""
+        y, s = np.random.default_rng(52).standard_normal((2, 300))
+        s[[3, 7]] = 1.7e308, -1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^s spans \[.*\]: 286 times its width "
+                                                 r"overflows$"):
+                fit(DataBatch(y=y, sigma=np.ones(300), s=s))
 
 
 class TestThresholdCandidates:
@@ -503,19 +517,26 @@ def test_one_sample_fit_shape_matches_reported_table_row():
     assert r.loss_value < fit_sureshrink(b).loss_value
 
 
-def sigma_overflow_batch(value: float = 1e160, theta: bool = False) -> DataBatch:
-    """300 rows whose row 5 has sigma = y = ``value``: z is 1 there, and at
-    1e160 sigma^2 overflows to inf."""
+def sigma_overflow_rows(value: float = 1e160) -> tuple:
+    """(y, sigma, s) of 300 rows whose row 5 has sigma = y = ``value``: z is 1
+    there, and at 1e160 sigma^2 overflows to inf."""
     rng = np.random.default_rng(64)
     y, s = rng.normal(0, 1, (2, 300))
     sigma = np.ones(300)
     y[5] = sigma[5] = value
+    return y, sigma, s
+
+
+def sigma_overflow_batch(value: float = 1e160, theta: bool = False) -> DataBatch:
+    """The batch of ``sigma_overflow_rows(value)``, which cannot be built
+    where sigma^2 overflows."""
+    y, sigma, s = sigma_overflow_rows(value)
     return DataBatch(y=y, sigma=sigma, s=s, theta=np.zeros(300) if theta else None)
 
 
 class TestSigmaOverflow:
-    """Every SURE fit builds a ``_SortedBatch``, which names the row whose
-    sigma^2 overflows, with no RuntimeWarning on the way."""
+    """A batch whose sigma^2 overflows is rejected when it is built, naming
+    the row, so no SURE fit sees it; no RuntimeWarning is emitted on the way."""
 
     @pytest.mark.parametrize("fit", [
         fit_sureshrink,
@@ -529,20 +550,28 @@ class TestSigmaOverflow:
     def test_sure_fits_name_the_row(self, fit):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^the SURE term overflows at row 5: "
-                                                 r"\|y\|, sigma or theta is too large$"):
+            with pytest.raises(ValueError, match=r"^sigma\^2 is not finite at index 5: inf$"):
                 fit(sigma_overflow_batch())
+
+    def test_group_threshold_names_the_row(self):
+        """The raw z and sigma of ``fit_group_threshold`` meet the same rule."""
+        z, sigma = np.ones(300), np.ones(300)
+        sigma[5] = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^sigma\^2 is not finite at index 5: inf$"):
+                fit_group_threshold(z, sigma, 300)
 
     @pytest.mark.parametrize("fit", [fit_sureshrink, fit_asus, lambda b: select_k(b, 3)])
     def test_sum_that_overflows_the_scale_is_named(self, fit):
         """sigma^2 = 2.5e307 is finite, and so is the sum of sigma^2; times
         t_n^2 + 3 = 2 ln 300 + 3 it is not, and a SURE total may reach that."""
-        b = sigma_overflow_batch(5e153)
-        assert np.isfinite((b.sigma**2).sum())
+        assert np.isfinite((sigma_overflow_rows(5e153)[1] ** 2).sum())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^the SURE term overflows summed over rows"):
-                fit(b)
+            with pytest.raises(ValueError, match="^the squares of y, sigma and theta overflow "
+                                                 "summed over rows$"):
+                fit(sigma_overflow_batch(5e153))
 
 
 def search_batch(name: str) -> tuple:
