@@ -216,7 +216,8 @@ def soft_estimate(y_i, sigma_i, t):
     if np.any(t < 0):
         raise ValueError("threshold must be nonnegative")
     z = np.abs(y_i) / sigma_i
-    out = np.where(z <= t, 0.0, y_i - sigma_i * t * np.sign(y_i))
+    # kept rows have z > t; zeroed rows shrink by sigma z = |y|, which is finite
+    out = np.where(z <= t, 0.0, y_i - sigma_i * np.minimum(t, z) * np.sign(y_i))
     if out.ndim == 0:
         return float(out)
     return out

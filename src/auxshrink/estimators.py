@@ -95,7 +95,9 @@ def xi_split_candidates(xi: np.ndarray, cap: int | None = None) -> np.ndarray:
             "latent sequence xi is degenerate (all values equal); "
             "it induces no grouping"
         )
-    mids = 0.5 * (uniq[:-1] + uniq[1:])
+    # halve before adding, so neighbours near the float limit do not overflow;
+    # for normal floats this is 0.5 * (a + b) bit for bit
+    mids = 0.5 * uniq[:-1] + 0.5 * uniq[1:]
     mids = mids[mids < uniq[1:]]
     if not mids.size:
         raise _infeasible(2)

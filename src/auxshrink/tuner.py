@@ -69,6 +69,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -794,52 +795,41 @@ class _Cut:
                           _within(self.ctx, self.cells, a, self.m - 1)[:2])
 
 
-_SIGN = np.int64(-(2**63))
-
-
-def _key(x: np.ndarray) -> np.ndarray:
-    """Integers in the order of the floats ``x`` (one per float; -0 == 0)."""
-    b = np.ascontiguousarray(x, dtype=float).view(np.int64)
-    return np.where(b < 0, _SIGN - b, b)
-
-
-def _unkey(k: np.ndarray) -> np.ndarray:
-    return np.where(k < 0, _SIGN - k, k).view(np.float64)
-
-
 def _largest(ok, x: np.ndarray) -> np.ndarray:
-    """Largest float y with ok(y), elementwise, from a guess ``x``; ``ok``
-    is elementwise, true at -inf and monotone (true up to y, false beyond).
-
-    A guess off by a step is corrected by one; other elements are bisected
-    on the integer keys of the floats, which takes 64 halvings at most.
-    """
+    """Largest float y with ok(y), elementwise, from a guess ``x`` at most
+    one float off; ``ok`` is elementwise, true at -inf and monotone (true up
+    to y, false beyond). A guess further off is a fault and raises."""
     x = np.where(ok(x), x, np.nextafter(x, -np.inf))
     up = np.nextafter(x, np.inf)
     x = np.where(ok(up), up, x)
-    if not (ok(np.nextafter(x, np.inf)) | ~ok(x)).any():
-        return x
-    lo = np.full(x.shape, _key(np.array([-np.inf]))[0])
-    hi = np.full(x.shape, _key(np.array([np.inf]))[0])
-    for _ in range(64):
-        mid = (lo & hi) + ((lo ^ hi) >> 1)  # floor((lo + hi) / 2) without overflow
-        good = ok(_unkey(mid))
-        lo = np.where(good, mid, lo)
-        hi = np.where(good, hi, mid)
-    return _unkey(lo)
+    if not (ok(x) & ~ok(np.nextafter(x, np.inf))).all():
+        raise RuntimeError("a tie limit's closed form is more than one float off")
+    return x
 
 
 def _largest_addend(c: np.ndarray, limit: np.ndarray) -> np.ndarray:
-    """Largest x with fl(x + c) <= limit, elementwise; -inf where none is.
-    fl(x + c) is nondecreasing in x, so fl(x + c) <= limit iff x <= the result."""
+    """Largest x with fl(x + c) <= limit, elementwise; -inf where none is
+    (limit -inf or c +inf). fl(x + c) <= limit iff x + c is below limit + h,
+    h half the gap above limit (or on it, limit even); TwoSum (Knuth) gives
+    limit - c = s + e exactly, so fl(s + (e + h)) is within a float. Every
+    term and limit lies within ``core._envelope``'s bound: no sum overflows."""
     with np.errstate(invalid="ignore"):
-        return _largest(lambda x: (x == -np.inf) | (x + c <= limit), limit - c)
+        s = limit - c
+        d = s - limit
+        e = (limit - (s - d)) + (-c - d)
+        h = 0.5 * (np.nextafter(limit, np.inf) - limit)
+        guess = np.where((limit == -np.inf) | (c == np.inf), -np.inf, s + (e + h))
+        return _largest(lambda x: (x == -np.inf) | (x + c <= limit), guess)
 
 
 def _largest_total(total: float, n: int) -> float:
-    """Largest sum whose mean over n rounds to the mean of ``total``."""
+    """Largest sum whose mean over n rounds to at most the mean of ``total``:
+    within a float of the exact rounding boundary of x / n above
+    q = fl(total / n), n times the midpoint of q and the float above it.
+    ``total`` lies within ``core._envelope``'s bound."""
     value = total / n
-    return _largest(lambda x: (x == -np.inf) | (x / n <= value), np.array([total]))[0]
+    boundary = (Fraction(value) + Fraction(np.nextafter(value, np.inf))) / 2 * n
+    return _largest(lambda x: (x == -np.inf) | (x / n <= value), np.array([float(boundary)]))[0]
 
 
 def _search(cut: _Cut, ks) -> dict:
@@ -864,6 +854,10 @@ def _search(cut: _Cut, ks) -> dict:
     greedy pass then takes at each step the smallest breakpoint within that
     bound. A row absent from ``middle`` is all +inf: it changes no partial
     sum and no limit, and the greedy pass never reaches it.
+
+    Each limit is a closed form within a float of it (TwoSum in
+    ``_largest_addend``, an exact ``Fraction`` boundary in
+    ``_largest_total``), which ``_largest`` corrects and checks.
     """
     m, n, base = cut.m, cut.ctx.n, cut.base
     ks = [k for k in ks if k <= m + 1]

@@ -62,6 +62,15 @@ class TestSoftEstimate:
         with pytest.raises(ValueError):
             soft_estimate(1.0, 1.0, -0.5)
 
+    def test_zeroed_rows_do_not_overflow(self):
+        """sigma * t overflows at sigma = 1e10, t = 1e300, but the row is zeroed."""
+        b = DataBatch(y=[1.0, -2.0], sigma=[1e10, 1e10], s=[0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert soft_estimate(1.0, 1e10, 1e300) == 0.0
+            hp = HyperParams(tau=np.empty(0), t=np.array([1e300]))
+            np.testing.assert_array_equal(apply_estimator(b, hp), [0.0, 0.0])
+
     def test_rejects_what_a_batch_rejects(self):
         """|y|/sigma overflows at y = 1e300, sigma = 1e-10, with no RuntimeWarning."""
         with warnings.catch_warnings():

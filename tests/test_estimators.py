@@ -18,6 +18,7 @@ from auxshrink import (
     generate,
     universal_threshold,
 )
+from auxshrink.estimators import xi_split_candidates
 from auxshrink.sim import ESTIMATORS, _SideOracleAccumulator
 from test_tuner import sigma_overflow_batch
 
@@ -181,6 +182,20 @@ class TestOracleSide:
             fit_oracle_side(b)
         with pytest.raises(ValueError, match="nonempty groups"):
             _SideOracleAccumulator(b)
+
+    def test_split_near_the_float_limit_is_kept(self):
+        # 1e308 + 1.5e308 overflows; the midpoint is taken as halves
+        rng = np.random.default_rng(109)
+        n = 300
+        xi = rng.normal(0, 1, n)
+        xi[[3, 7]] = 1e308, 1.5e308
+        b = DataBatch(y=rng.standard_normal(n), sigma=np.ones(n), s=rng.random(n),
+                      theta=np.zeros(n), xi=xi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert xi_split_candidates(xi)[-1] == 1.25e308
+            r = fit_oracle_side(b)
+        assert r.group_sizes.sum() == n
 
 
 class TestEjs:
