@@ -198,8 +198,7 @@ class FitResult:
 
 def universal_threshold(n: int) -> float:
     """sqrt(2 log n), the upper end of every threshold search range."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_integer(n, "n", 1)
     return math.sqrt(2.0 * math.log(n))
 
 

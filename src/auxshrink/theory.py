@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 _LOG_PHI0 = -0.5 * math.log(2.0 * math.pi)  # log of the standard normal density at 0
+# violations of r_as >= r_os or r_ns >= r_os up to this share of the risk
+# scale are Monte Carlo noise, clamped by efficiency_diagnostics
+_CLAMP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,7 @@ class EfficiencyDiagnostics:
     degenerate: bool  # True when r_ns == r_os makes both ratios undefined
 
 
-def efficiency_diagnostics(
-    r_ns: float, r_as: float, r_os: float, clamp_tol: float = 1e-9
-) -> EfficiencyDiagnostics:
+def efficiency_diagnostics(r_ns: float, r_as: float, r_os: float) -> EfficiencyDiagnostics:
     """Normalized measures of how much of the oracle's gain the grouped
     estimator captures.
 
@@ -113,7 +114,7 @@ def efficiency_diagnostics(
         ri = 1 - 1/e
 
     Small Monte Carlo violations of r_as >= r_os or r_ns >= r_os (within
-    clamp_tol relative to the risk scale) clamp to the boundary; larger
+    _CLAMP_TOL relative to the risk scale) clamp to the boundary; larger
     ones raise. r_as == r_os yields e = inf, ri = 1. r_ns == r_os is
     flagged as degenerate (no headroom to measure improvement against).
     """
@@ -121,7 +122,7 @@ def efficiency_diagnostics(
         if not math.isfinite(r):
             raise ValueError(f"{name} must be finite, not {r}")
     scale = max(abs(r_ns), abs(r_os), abs(r_as), 1.0)
-    tol = clamp_tol * scale
+    tol = _CLAMP_TOL * scale
     if r_as < r_os:
         if r_os - r_as > tol:
             raise ValueError("r_as < r_os beyond tolerance: not a valid risk triple")
@@ -157,6 +158,9 @@ def misclass_rates(batch: DataBatch, tau: float, tau_star: float) -> MisclassRat
     a zero rate and a flag."""
     if batch.xi is None:
         raise ValueError("misclass_rates requires batch.xi")
+    for name, x in (("tau", tau), ("tau_star", tau_star)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, not {x}")
     w = batch.sigma**2
     in1 = batch.xi <= tau_star
     in2 = ~in1

@@ -202,6 +202,8 @@ def tau_grid(s, mn_factor: float = 50.0) -> np.ndarray:
 
 def threshold_candidates(z, t_n: float) -> np.ndarray:
     """Candidate thresholds for one group: {0} | {z_i <= t_n} | {t_n}, sorted."""
+    if not (math.isfinite(t_n) and t_n >= 0):
+        raise ValueError(f"t_n must be finite and nonnegative, not {t_n}")
     z = _finite_vector(z, "z")
     if np.any(z < 0):
         raise ValueError("z must hold magnitudes |y|/sigma >= 0")
@@ -301,8 +303,7 @@ class _SortedBatch:
     """A batch sorted by standardized magnitude, with the side sequence the
     groups split on. It holds the columns of the SURE terms (``capped``,
     ``s2z2``) or, with ``loss``, those of the realized loss (``loss_columns``,
-    which need batch.theta); the others are None. ``order[i]`` is the row of
-    coordinate i."""
+    which need batch.theta); the others are None."""
 
     def __init__(self, batch: DataBatch, side: np.ndarray, loss: bool = False):
         order = self._sort(np.abs(batch.y) / batch.sigma, batch.sigma, batch.n, loss)
@@ -324,7 +325,7 @@ class _SortedBatch:
         """Sort by z and, without ``loss``, set the SURE columns; returns the order."""
         self.n = n
         self.t_n = universal_threshold(n)
-        self.order = order = np.argsort(z, kind="stable")
+        order = np.argsort(z, kind="stable")
         self.zs = z[order]
         self.s2s = sigma[order] ** 2
         self.side = self.capped = self.s2z2 = self.loss_columns = self.s2_total = None
@@ -358,20 +359,8 @@ class _SortedBatch:
             sub.capped, sub.s2z2 = self.capped[keep], self.s2z2[keep]
         else:
             sub.loss_columns = tuple(col[keep] for col in self.loss_columns)
-        sub.s2_total = sub.order = None
+        sub.s2_total = None
         return sub
-
-    def members(self, mask: np.ndarray) -> np.ndarray:
-        """Which candidates each group (row of ``mask``) holds: 0 and t_n
-        always, a z value when one of the group's coordinates has it. Only
-        the realized loss needs it (``_min_loss_threshold``); the SURE term
-        cannot take its minimum at a candidate a group does not hold."""
-        _, _, starts, c = self.candidates
-        ext = np.ones((mask.shape[0], c + 2), dtype=bool)
-        ext[:, 1:-1] = mask[:, :c]
-        if starts is None:
-            return ext
-        return np.logical_or.reduceat(ext, starts, axis=1)
 
 
 def _sure_group(ctx: _SortedBatch, mask: np.ndarray, hybrid: bool) -> tuple:
@@ -430,13 +419,21 @@ def _screen_group(ctx: _SortedBatch, mask: np.ndarray) -> tuple:
 
 def _min_loss_threshold(ctx: _SortedBatch, mask: np.ndarray) -> tuple:
     """Threshold minimizing the realized loss of each group (row of ``mask``)
-    over [0, t_n]; the smallest threshold wins ties.
+    over [0, t_n]; the smallest threshold wins ties. An empty group gives
+    (0, 0).
 
     Unlike the SURE objective the loss is quadratic (not monotone) between
-    order statistics, so each segment's interior vertex joins the candidate
-    set. An empty group gives (0, 0).
+    order statistics, so each segment's vertex joins the candidates, the
+    per-segment cost of FPOP (Maidstone et al. 2017). A row lists, ascending
+    in t, each candidate of the batch and then the vertex of its quadratic
+    if it lies before the next candidate (t_n after the last), and
+    ``np.argmin`` takes the first least value. Between two candidates a
+    group holds, every candidate has the first one's masked prefix sums bit
+    for bit (adding +-0.0 leaves a sequential sum unchanged), so the
+    segment's vertex is listed once. A candidate the group does not hold is
+    +inf: rounding its neighbouring quadratic may put it under the least.
     """
-    cands, counts = ctx.candidates[:2]
+    cands, counts, starts, c = ctx.candidates
     pq, pe, psc, ps2 = (_prefix(mask * col) for col in ctx.loss_columns)
     # the group's theta^2 at or below each candidate plus (y-theta)^2 above
     # it, and its sums of sigma*sign(y)*(y-theta) and of sigma^2 above it
@@ -444,29 +441,23 @@ def _min_loss_threshold(ctx: _SortedBatch, mask: np.ndarray) -> tuple:
     below += pe[:, -1:] - np.take(pe, counts, axis=-1)
     suf_sc = psc[:, -1:] - np.take(psc, counts, axis=-1)
     suf_s2 = ps2[:, -1:] - np.take(ps2, counts, axis=-1)
+    del pq, pe, psc, ps2  # before the row of twice as many values is built
     parts = below, suf_sc, suf_s2
-    member = ctx.members(mask)
-    rows = np.arange(mask.shape[0])
-    at_cand = _loss_at(parts, cands)
-    at_cand[~member] = np.inf
-    i = np.argmin(at_cand, axis=1)
-    t, v = cands[i], at_cand[rows, i]
-    del at_cand
-    # each segment ends at the group's next candidate; t_n ends the last
-    upper = np.full(member.shape, ctx.t_n)
-    upper[:, :-1] = np.minimum.accumulate(
-        np.where(member, cands, np.inf)[:, :0:-1], axis=1)[:, ::-1]
+    # the candidates the group holds: 0, t_n and its z values, tied ones OR-ed
+    held = np.ones((mask.shape[0], c + 2), dtype=bool)
+    held[:, 1:-1] = mask[:, :c]
+    if starts is not None:
+        held = np.logical_or.reduceat(held, starts, axis=1)
     vertex = suf_sc / np.where(suf_s2 > 0, suf_s2, 1.0)
-    ok = member & (suf_s2 > 0) & (vertex > cands) & (vertex < upper)
-    # no order statistic lies strictly inside a segment, so a vertex counts
-    # the same z values as the segment's left end
-    at_vertex = np.where(ok, _loss_at(parts, vertex), np.inf)
-    i = np.argmin(at_vertex, axis=1)
-    tv, vv = vertex[rows, i], at_vertex[rows, i]
-    # vertices and candidates each ascend along a row; the lower value wins,
-    # then the smaller point
-    take = (vv < v) | ((vv == v) & (tv < t))
-    return np.where(take, tv, t), np.where(take, vv, v)
+    # a vertex on a candidate has the candidate's point and value, after it
+    ok = (suf_s2 > 0) & (vertex >= cands) & (vertex < np.append(cands[1:], ctx.t_n))
+    vals = np.empty(below.shape + (2,))
+    vals[..., 0] = np.where(held, _loss_at(parts, cands), np.inf)
+    vals[..., 1] = np.where(ok, _loss_at(parts, vertex), np.inf)
+    vals = vals.reshape(below.shape[0], -1)
+    i = np.argmin(vals, axis=1)
+    rows, k = np.arange(mask.shape[0]), i // 2
+    return np.where(i % 2, vertex[rows, k], cands[k]), vals[rows, i]
 
 
 class _IntervalBound:
@@ -940,7 +931,7 @@ def _pruned(cut: _Cut, ks) -> tuple:
     # the split and the pair (a, b) with the least bound
     lower = head + tail
     lower += base
-    split = np.argsort(lower, kind="stable")[:1] if 2 in ks else none
+    split = np.argmin(lower, keepdims=True) if 2 in ks else none
     pair = none, none
     if 3 in ks:
         first = base + head
@@ -1097,7 +1088,7 @@ def sweep_tau(batch: DataBatch, cfg: SearchConfig | None = None) -> SweepCurve:
     grid = tau_grid(batch.s, cfg.mn_factor)
     split = _split_points(grid, batch.s)
     if not split.size:
-        raise ValueError("no feasible breakpoint candidate for K=2")
+        raise _infeasible(2)
     cut = _sure_cut(batch, split, cfg.hybrid)
     t1, t2 = cut.head[0][:split.size], cut.tail[0]
     # each split point's SURE as core.sure gives it, with group 1 at s <= tau

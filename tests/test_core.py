@@ -38,6 +38,11 @@ class TestUniversalThreshold:
         with pytest.raises(ValueError):
             universal_threshold(0)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, True, 2.5, 5000.0])
+    def test_n_that_is_not_a_count_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer of at least 1, not {n!r}$"):
+            universal_threshold(n)
+
     def test_bounds_reported_fits_at_n5000(self):
         # fitted thresholds near 4.11 must stay below the search cap
         t_n = universal_threshold(5000)

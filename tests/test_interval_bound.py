@@ -277,7 +277,8 @@ def test_select_k_is_pruned(monkeypatch):
     assert 0 < sum(scored) < 0.02 * m * (m - 1) / 2
     # of the m + 1 heads and m tails
     assert 0 < sum(ends) < (2 * m + 1) / 4
-    cut = _sure_cut(batch, _fit_grid(batch.s, 3, 50.0), True)
+    # the reference scores every group, whatever bound the cut carries
+    cut = unbounded(_sure_cut(batch, _fit_grid(batch.s, 3, 50.0), True, k_max=3))
     fits = _search(cut, range(1, 4))
     want = [sure(batch, HyperParams(*fits[k][1:3])) for k in (1, 2, 3)]
     np.testing.assert_array_equal(got.sure_values, want)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import brute_force
-from auxshrink import ScenarioSpec, fit_asus, generate, universal_threshold
+from auxshrink import ScenarioSpec, fit_asus, generate, sweep_tau, universal_threshold
 from auxshrink import tuner
 from auxshrink.tuner import _SortedBatch, _fit_grid, _sure_group
 from test_search_equivalence import hybrid_bound_batch
@@ -99,11 +99,15 @@ def z_order_rows(monkeypatch):
     ("one-sample-s1", {"m": 200, "aux_variant": 2}),
 ])
 def test_no_row_of_a_k2_search_needs_the_z_order_sum(z_order_rows, family, extra, seed):
-    """fit_asus at K = 2 scores every head and tail group, and the dot
-    product's slack settles the hybrid rule for each."""
+    """A K = 2 search's dot product settles the hybrid rule for every row
+    it scores. fit_asus scores every head and tail group while its search is
+    not pruned; sweep_tau reads every head and tail, pruned or not."""
     batch = generate(ScenarioSpec(family, n=1000, seed=seed, **extra))
     fit_asus(batch)
     m = _fit_grid(batch.s, 2, 50.0).size
+    assert z_order_rows == {"scored": 2 * m + 1, "z_order": 0}
+    z_order_rows.update(scored=0)
+    sweep_tau(batch)
     assert z_order_rows == {"scored": 2 * m + 1, "z_order": 0}
 
 

@@ -149,6 +149,8 @@ class TestEfficiencyDiagnostics:
         assert d.e == math.inf
         with pytest.raises(ValueError):
             efficiency_diagnostics(0.3, 0.05, 0.1)
+        with pytest.raises(ValueError, match="^r_as < r_os beyond tolerance"):
+            efficiency_diagnostics(1.0, 0.5, 0.6)
 
 
 class TestMisclassRates:
@@ -204,6 +206,15 @@ class TestMisclassRates:
         b = self.batch_with(np.array([1.0, 2.0]), xi)
         r = misclass_rates(b, tau=1.5, tau_star=1.0)
         assert r.group2_empty and r.q12 == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["tau", "tau_star"])
+    def test_non_finite_split_named(self, name, value):
+        xi = np.array([0.0, 0.0, 3.0])
+        b = self.batch_with(np.array([1.0, 2.0, 4.0]), xi)
+        split = {"tau": 1.0, "tau_star": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, not {value}$"):
+            misclass_rates(b, **split)
 
     def test_requires_xi(self):
         b = DataBatch(y=[0.0], sigma=[1.0], s=[1.0])

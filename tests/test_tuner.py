@@ -140,6 +140,11 @@ class TestThresholdCandidates:
         with pytest.raises(ValueError, match=match):
             threshold_candidates(z, 2.0)
 
+    @pytest.mark.parametrize("t_n", [np.nan, -1.0, np.inf, -np.inf])
+    def test_t_n_that_is_not_finite_and_nonnegative_rejected(self, t_n):
+        with pytest.raises(ValueError, match=f"^t_n must be finite and nonnegative, not {t_n}$"):
+            threshold_candidates([0.5, 3.0], t_n)
+
     def test_candidate_minimum_matches_dense_grid(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -390,6 +395,18 @@ class TestSweepTau:
         b = random_batch(rng, 50)
         with pytest.raises(ValueError):
             sweep_tau(b, SearchConfig(k=3))
+
+    def test_no_split_point_gives_the_message_of_fit_asus(self):
+        # the grid's one point rounds onto max S, so no split leaves both
+        # groups nonempty
+        b = DataBatch(y=[1.0, 2.0], sigma=[1.0, 1.0], s=[1 + 2**-52, 1 + 2**-51])
+        cfg = SearchConfig(k=2, mn_factor=1)
+        message = (r"^no feasible breakpoint candidate for K=2; the auxiliary sequence "
+                   r"cannot support that many nonempty groups$")
+        with pytest.raises(ValueError, match=message):
+            fit_asus(b, cfg)
+        with pytest.raises(ValueError, match=message):
+            sweep_tau(b, cfg)
 
     def test_curve_rows_are_internally_consistent(self):
         rng = np.random.default_rng(43)
