@@ -20,6 +20,11 @@ toy
     uniform blocks, sigma_i = sqrt(0.5), auxiliary |Ybar_1 + Ybar_2|; the
     latent field carries the signal/null labels.
 
+Two designs are stated once and shared: the s1/s2 latent signal blocks
+(``_SIGNAL_RANGES`` drawn by ``_latent_blocks``; one-sample and asymptotic
+xi, and the toy's two mean blocks) and the two-sample observation
+(``_two_sample``; two-sample s1/s2, and the toy with variance 1/4 per mean).
+
 All generators are deterministic functions of ScenarioSpec.seed. Averaged
 auxiliary noise is summed one row of n draws at a time, never as an (m, n)
 matrix. The harness generates each replication's batch once and fits each
@@ -119,6 +124,31 @@ def _mean_of_draws(draw, m: int) -> np.ndarray:
     return acc / m
 
 
+# the s1 and s2 latent signal ranges of the one-sample and asymptotic families
+_SIGNAL_RANGES = {
+    "s1": ((6.0, 7.0), (2.0, 3.0)),
+    "s2": ((4.0, 8.0), (1.0, 3.0)),
+}
+
+
+def _latent_blocks(rng: np.random.Generator, n: int, ranges, sizes) -> np.ndarray:
+    """One uniform block per (range, size), drawn in order, then zeros up to n."""
+    blocks = [rng.uniform(lo, hi, size) for (lo, hi), size in zip(ranges, sizes)]
+    return np.concatenate([*blocks, np.zeros(n - sum(sizes))])
+
+
+def _two_sample(rng: np.random.Generator, mu1, mu2, var1, var2):
+    """Observe U ~ N(mu1, var1) and V ~ N(mu2, var2), U's noise drawn first.
+
+    Returns (y, sigma, s, kappa): y = U - V, sigma = sqrt(var1 + var2),
+    s = |U + kappa V| and kappa = sqrt(var1 / var2).
+    """
+    u = mu1 + np.sqrt(var1) * rng.standard_normal(mu1.size)
+    v = mu2 + np.sqrt(var2) * rng.standard_normal(mu2.size)
+    kappa = np.sqrt(var1 / var2)
+    return u - v, np.sqrt(var1 + var2), np.abs(u + kappa * v), kappa
+
+
 def gen_one_sample(spec: ScenarioSpec) -> DataBatch:
     if spec.family not in ("one-sample-s1", "one-sample-s2"):
         raise ValueError(f"not a one-sample family: {spec.family}")
@@ -129,23 +159,12 @@ def gen_one_sample(spec: ScenarioSpec) -> DataBatch:
     if variant not in (1, 2, 3, 4):
         raise ValueError("aux_variant must be 1..4")
     n = spec.n
-    if spec.family == "one-sample-s1":
-        sizes = (50, 200)
-        ranges = ((6.0, 7.0), (2.0, 3.0))
-    else:
-        sizes = (200, 800)
-        ranges = ((4.0, 8.0), (1.0, 3.0))
+    sizes = (50, 200) if spec.family == "one-sample-s1" else (200, 800)
     if n <= sum(sizes):
         raise ValueError(f"n must exceed {sum(sizes)} for {spec.family}")
 
     rng = np.random.default_rng(spec.seed)
-    xi = np.concatenate(
-        [
-            rng.uniform(*ranges[0], sizes[0]),
-            rng.uniform(*ranges[1], sizes[1]),
-            np.zeros(n - sum(sizes)),
-        ]
-    )
+    xi = _latent_blocks(rng, n, _SIGNAL_RANGES[spec.family[-2:]], sizes)
     theta = xi + _sparse_eta1(rng, n)
     y = theta + rng.standard_normal(n)
     sigma = np.ones(n)
@@ -186,17 +205,11 @@ def gen_two_sample(spec: ScenarioSpec) -> DataBatch:
     mu1 = xi1 + rng.normal(0.0, 0.1, n)
     mu2 = xi2 + rng.normal(0.0, 0.1, n)
     if spec.family == "two-sample-s1":
-        var1 = np.ones(n)
-        var2 = np.ones(n)
+        var1 = var2 = np.ones(n)
     else:
         var1 = rng.uniform(0.1, 1.0, n)
         var2 = rng.uniform(0.1, 1.0, n)
-    u = mu1 + np.sqrt(var1) * rng.standard_normal(n)
-    v = mu2 + np.sqrt(var2) * rng.standard_normal(n)
-    kappa = np.sqrt(var1 / var2)
-    y = u - v
-    sigma = np.sqrt(var1 + var2)
-    s = np.abs(u + kappa * v)
+    y, sigma, s, kappa = _two_sample(rng, mu1, mu2, var1, var2)
     theta = mu1 - mu2
     # latent for the side oracle: the noiseless value behind S (E[U + kappa V]
     # up to the mean perturbations), which cleanly separates the union support
@@ -217,24 +230,12 @@ def gen_asymptotic(spec: ScenarioSpec) -> DataBatch:
     k_n = math.log(n)
     rng = np.random.default_rng(spec.seed)
 
-    if spec.family == "asymptotic-s1":
-        nb1 = round(0.01 * n)
-        nb2 = round(0.04 * n)
-        ranges = ((6.0, 7.0), (2.0, 3.0))
-    else:
-        nb1 = round(0.04 * n)
-        nb2 = round(0.16 * n)
-        ranges = ((4.0, 8.0), (1.0, 3.0))
-    if nb1 < 1 or nb2 < 1 or nb1 + nb2 >= n:
+    shares = (0.01, 0.04) if spec.family == "asymptotic-s1" else (0.04, 0.16)
+    sizes = tuple(round(share * n) for share in shares)
+    if min(sizes) < 1 or sum(sizes) >= n:
         raise ValueError(f"n={n} too small for {spec.family} block sizes")
 
-    xi = np.concatenate(
-        [
-            rng.uniform(*ranges[0], nb1),
-            rng.uniform(*ranges[1], nb2),
-            np.zeros(n - nb1 - nb2),
-        ]
-    )
+    xi = _latent_blocks(rng, n, _SIGNAL_RANGES[spec.family[-2:]], sizes)
     theta = xi + _sparse_eta1(rng, n)
     if spec.family == "asymptotic-s1":
         sigma = np.ones(n)
@@ -262,22 +263,15 @@ def gen_toy(spec: ScenarioSpec) -> DataBatch:
     n = spec.n
     nb = round(0.2 * n)
     if nb < 1 or 2 * nb >= n:
-        raise ValueError("toy scenario needs n >= 5")
+        raise ValueError("toy scenario needs n >= 3")
     rng = np.random.default_rng(spec.seed)
-    rest = n - 2 * nb
-    mu1 = np.concatenate(
-        [rng.uniform(4.0, 6.0, nb), rng.uniform(2.0, 3.0, nb), np.zeros(rest)]
-    )
-    mu2 = np.concatenate(
-        [rng.uniform(1.0, 2.0, nb), rng.uniform(1.0, 6.0, nb), np.zeros(rest)]
-    )
-    ybar1 = mu1 + 0.5 * rng.standard_normal(n)
-    ybar2 = mu2 + 0.5 * rng.standard_normal(n)
-    y = ybar1 - ybar2
-    sigma = np.full(n, math.sqrt(0.5))
-    s = np.abs(ybar1 + ybar2)
+    mu1 = _latent_blocks(rng, n, ((4.0, 6.0), (2.0, 3.0)), (nb, nb))
+    mu2 = _latent_blocks(rng, n, ((1.0, 2.0), (1.0, 6.0)), (nb, nb))
+    # the mean of each of the two samples has variance 1/4: kappa = 1
+    quarter = np.full(n, 0.25)
+    y, sigma, s, _ = _two_sample(rng, mu1, mu2, quarter, quarter)
     theta = mu1 - mu2
-    labels = np.concatenate([np.ones(2 * nb), np.zeros(rest)])
+    labels = np.concatenate([np.ones(2 * nb), np.zeros(n - 2 * nb)])
     return DataBatch(y=y, sigma=sigma, s=s, theta=theta, xi=labels)
 
 
@@ -364,16 +358,21 @@ def _summarize(name, rows) -> EstimatorRisk:
     )
 
 
+# the side oracle's common grid: at most 65 latent splits, 513 thresholds on [0, t_n]
+_ORACLE_SPLITS = 65
+_ORACLE_THRESHOLDS = 513
+
+
 class _SideOracleAccumulator:
     """Average, across replications, the loss of every (split, t1, t2)
     combination on common grids, then minimize. Groups come from the latent
     sequence: group 1 of a split tau is xi <= tau."""
 
-    def __init__(self, batch0: DataBatch, t_points: int = 513):
+    def __init__(self, batch0: DataBatch, t_points: int = _ORACLE_THRESHOLDS):
         if batch0.xi is None or batch0.theta is None:
             raise ValueError("side oracle needs theta and xi in the batch")
         self.t_grid = np.linspace(0.0, universal_threshold(batch0.n), t_points)
-        self.tau_cands = xi_split_candidates(batch0.xi, cap=65)
+        self.tau_cands = xi_split_candidates(batch0.xi, cap=_ORACLE_SPLITS)
         self.acc = np.zeros((self.tau_cands.size, 2, t_points))
 
     def add(self, batch: DataBatch) -> None:

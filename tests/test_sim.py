@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,20 +21,20 @@ from auxshrink import (
 
 class TestScenarioSpec:
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown scenario family 'nope'$"):
             ScenarioSpec(family="nope", n=100)
 
     def test_one_sample_needs_m_and_variant(self):
         spec = ScenarioSpec(family="one-sample-s1", n=1000, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^one-sample scenarios need m >= 10$"):
             gen_one_sample(spec)
         spec = ScenarioSpec(family="one-sample-s1", n=1000, m=50, aux_variant=7, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^aux_variant must be 1\.\.4$"):
             gen_one_sample(spec)
 
     def test_one_sample_needs_room_for_blocks(self):
         spec = ScenarioSpec(family="one-sample-s1", n=100, m=50, aux_variant=1, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must exceed 250 for one-sample-s1$"):
             gen_one_sample(spec)
 
     @pytest.mark.parametrize("n", [300.5, 300.0, True, "300", None, 0])
@@ -69,6 +70,62 @@ class TestScenarioSpec:
                                     aux_variant=np.int64(2), seed=3))
         for name in ("y", "sigma", "s", "theta", "xi"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def _one(family="one-sample-s1", n=1001, m=10, aux_variant=1):
+    return ScenarioSpec(family, n=n, m=m, aux_variant=aux_variant, seed=1)
+
+
+def _asym(family="asymptotic-s1", n=200, m=None, aux_variant=1):
+    return ScenarioSpec(family, n=n, m=m, aux_variant=aux_variant, seed=1)
+
+
+# every rule a generator checks: its last rejected spec, the message, and the
+# first spec it accepts
+GENERATOR_RULES = {
+    "one-sample-s1 n": (_one(n=250), "n must exceed 250 for one-sample-s1", _one(n=251)),
+    "one-sample-s2 n": (_one("one-sample-s2", n=1000), "n must exceed 1000 for one-sample-s2",
+                        _one("one-sample-s2", n=1001)),
+    "one-sample m": (_one(m=9), "one-sample scenarios need m >= 10", _one(m=10)),
+    "one-sample m None": (_one(m=None), "one-sample scenarios need m >= 10", _one(m=10)),
+    "one-sample variant 0": (_one(aux_variant=0), "aux_variant must be 1..4", _one(aux_variant=1)),
+    "one-sample variant 5": (_one(aux_variant=5), "aux_variant must be 1..4", _one(aux_variant=4)),
+    "two-sample-s1 n": (ScenarioSpec("two-sample-s1", n=1), "two-sample scenarios need n >= 2",
+                        ScenarioSpec("two-sample-s1", n=2)),
+    "two-sample-s2 n": (ScenarioSpec("two-sample-s2", n=1), "two-sample scenarios need n >= 2",
+                        ScenarioSpec("two-sample-s2", n=2)),
+    "asymptotic-s1 n": (_asym(n=50), "n=50 too small for asymptotic-s1 block sizes", _asym(n=51)),
+    "asymptotic-s2 n": (_asym("asymptotic-s2", n=12), "n=12 too small for asymptotic-s2 block sizes",
+                        _asym("asymptotic-s2", n=13)),
+    "asymptotic m": (_asym(m=0), "m must be positive", _asym(m=1)),
+    "asymptotic variant 0": (_asym(aux_variant=0),
+                             "aux_variant must be 1 or 2 for asymptotic scenarios",
+                             _asym(aux_variant=1)),
+    "asymptotic variant 3": (_asym(aux_variant=3),
+                             "aux_variant must be 1 or 2 for asymptotic scenarios",
+                             _asym(aux_variant=2)),
+    "toy n": (ScenarioSpec("toy", n=2), "toy scenario needs n >= 3", ScenarioSpec("toy", n=3)),
+}
+
+
+class TestGeneratorRules:
+    @pytest.mark.parametrize("rule", GENERATOR_RULES)
+    def test_last_rejected_and_first_accepted(self, rule):
+        rejected, message, accepted = GENERATOR_RULES[rule]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate(rejected)
+        b = generate(accepted)
+        assert b.n == accepted.n
+
+    @pytest.mark.parametrize("gen, family, message", [
+        (gen_one_sample, "toy", "not a one-sample family: toy"),
+        (gen_two_sample, "one-sample-s1", "not a two-sample family: one-sample-s1"),
+        (gen_asymptotic, "two-sample-s2", "not an asymptotic family: two-sample-s2"),
+        (gen_toy, "asymptotic-s1", "not the toy family: asymptotic-s1"),
+    ])
+    def test_generator_rejects_another_family(self, gen, family, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen(ScenarioSpec(family, n=2000, m=10, aux_variant=1))
 
 
 class TestOneSample:
@@ -196,7 +253,7 @@ class TestAsymptotic:
 
     def test_variant_validation(self):
         spec = ScenarioSpec(family="asymptotic-s1", n=5000, aux_variant=5, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^aux_variant must be 1 or 2 for asymptotic scenarios$"):
             gen_asymptotic(spec)
 
 
