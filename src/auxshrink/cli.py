@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -279,6 +280,7 @@ def cmd_theory(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; its choices come from import-time registries
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="auxshrink",

@@ -57,9 +57,10 @@ nondecreasing in t, so its minimum over [0, t_n] is attained on
 {0} | {z_i <= t_n} | {t_n}. A hybrid fallback returns the universal
 threshold for groups whose empirical second moment is too close to pure
 noise for SURE to be trustworthy. Its statistic is the group's capped sum in
-z order; a dot product and a derived slack settle the rule for nearly every
-group (``_surely_fires``), and the z-order sum is taken only where they
-cannot.
+z order. A hybrid SURE cut settles the rule for nearly every group, for its
+terms and its bound alike, from per-cell cumulative sums and one derived
+slack (``_Cut.hybrid_rule``); the kernel takes the z-order sum only where
+they cannot.
 """
 
 from __future__ import annotations
@@ -264,16 +265,6 @@ def _hybrid_fires(capped_sum, size, n: int):
     return stat <= bound
 
 
-def _surely_fires(capped_sum, slack, size, n: int):
-    """Whether the hybrid rule fires on every capped sum up to
-    ``capped_sum`` + ``slack``: ``_hybrid_fires`` is monotone in the sum
-    (rounding of x / size - 1 is), so it fires there iff it fires at that
-    largest sum. With a negative ``slack``, whether it may fire on some sum
-    down to ``capped_sum`` - |slack|. ``slack`` must be twice the distance
-    to the sum it stands for, so that adding it rounds past that sum."""
-    return _hybrid_fires(capped_sum + slack, size, n)
-
-
 def fit_group_threshold(z, sigma, n_global: int, hybrid: bool = True) -> float:
     """Threshold for a single group of standardized magnitudes ``z``.
 
@@ -295,7 +286,9 @@ def fit_group_threshold(z, sigma, n_global: int, hybrid: bool = True) -> float:
         raise ValueError("z must hold magnitudes |y|/sigma >= 0")
     _envelope(sigma, z=z)
     ctx = _SortedBatch.of_group(z, sigma, n_global)
-    t, _ = _sure_group(ctx, np.ones((1, z.size), dtype=bool), hybrid)
+    # one arbitrary group: no cut filters its rule, so its row is left open
+    rule = (np.zeros(1, dtype=bool), np.zeros(1, dtype=int), np.array([z.size])) if hybrid else None
+    t, _ = _sure_group(ctx, np.ones((1, z.size), dtype=bool), rule)
     return float(t[0])
 
 
@@ -363,10 +356,13 @@ class _SortedBatch:
         return sub
 
 
-def _sure_group(ctx: _SortedBatch, mask: np.ndarray, hybrid: bool) -> tuple:
-    """SURE-fitted threshold and SURE term of each group (row of ``mask``),
-    hybrid rule first; the smallest threshold wins ties. An empty group gives
-    (0, 0).
+def _sure_group(ctx: _SortedBatch, mask: np.ndarray, rule: tuple | None = None) -> tuple:
+    """SURE-fitted threshold and SURE term of each group (row of ``mask``);
+    the smallest threshold wins ties. An empty group gives (0, 0).
+
+    With the hybrid fallback, ``rule`` is (fires, open_, size) as
+    ``_Cut.hybrid_rule`` gives it; an open row is decided on its capped sum
+    in z order, and a row that fires takes t_n and its term there.
 
     Every row is scored at every candidate of the batch, not only those its
     group holds. A candidate the group does not hold has the prefix sums of
@@ -381,20 +377,10 @@ def _sure_group(ctx: _SortedBatch, mask: np.ndarray, hybrid: bool) -> tuple:
     i = np.argmin(vals, axis=1)
     rows = np.arange(mask.shape[0])
     t, v = cands[i], vals[rows, i]
-    if hybrid:
-        # The rule is decided on the capped sum in z order, bit for bit that
-        # over the group alone; a dot product d settles most rows. Adding 0
-        # is exact, so d (in any order) and that sum each lie within
-        # g eps/2 T of the exact sum T <= d (1 + g eps) of the group's g
-        # values >= 0: they differ by at most g eps d (1 + g eps). Only a row
-        # whose rule changes within twice that takes the z-order sum.
-        d = mask @ ctx.capped
-        size = np.count_nonzero(mask, axis=1)
-        slack = 2.0 * np.finfo(float).eps * size * d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fires = _surely_fires(d, slack, size, ctx.n)
-            open_ = np.flatnonzero(_surely_fires(d, -slack, size, ctx.n) & ~fires)
-            if open_.size:
+    if rule is not None:
+        fires, open_, size = rule
+        if open_.size:
+            with np.errstate(divide="ignore", invalid="ignore"):
                 fires[open_] = _hybrid_fires(_z_order_sums(mask[open_], ctx.capped),
                                              size[open_], ctx.n)
         t[fires] = ctx.t_n
@@ -486,10 +472,10 @@ class _IntervalBound:
     search's heads and tails take one block at a time, a K = 3 search's
     bounds the table of all blocks, O(segments x m); both agree bit for bit.
 
-    With ``hybrid`` (SURE only) a group whose capped sum surely fires the
-    hybrid rule has its exact term at t_n as its bound. "Surely" means with
-    the slack derived below added to the sum; a group within it keeps the
-    segment bound, which holds whether the rule fires or not.
+    On a hybrid SURE cut a group on which the hybrid rule surely fires
+    (``_Cut.hybrid_rule``) has its exact term at t_n as its bound; a group
+    the cut's filter leaves open keeps the segment bound, which holds
+    whether the rule fires or not.
 
     ``head_column``, when given, is a column whose sum over a K = 2 split's first
     group is that group's term at every threshold (the screened group's);
@@ -498,11 +484,11 @@ class _IntervalBound:
     """
 
     def __init__(self, cut: _Cut, below: np.ndarray, above, scale: float,
-                 hybrid: bool = False, head_column: np.ndarray | None = None):
+                 head_column: np.ndarray | None = None):
         ctx, m = cut.ctx, cut.m
-        self.m, self.n, self.cells, self.count = m, ctx.n, cut.cells, cut.count
+        self.m, self.cells = m, cut.cells
         self.below, self.above = below, above
-        self.head_column = head_column
+        self.heads = None if head_column is None else cut.cumulative(head_column)[1:m + 1]
         self.knots = np.linspace(0.0, ctx.t_n, _BOUND_SEGMENTS + 1)
         # the coordinates before first[j] have z <= t_j
         self.first = np.searchsorted(ctx.zs, self.knots, side="right")
@@ -523,23 +509,11 @@ class _IntervalBound:
         # margin is twice that, which covers the window of a few eps scale in
         # which the search counts totals as tied.
         self.margin = 20.0 * (ctx.n + m + _BOUND_SEGMENTS + 7) * np.finfo(float).eps * scale
-        self.hybrid = hybrid
-        if hybrid:  # SURE: ``above`` is s2
+        self.rule = cut.hybrid_rule if cut.hybrid else None
+        if cut.hybrid:  # SURE: ``above`` is s2
             c = self.first[-1]
             at_t_n = np.concatenate([below[:c], above[c:] * (ctx.t_n * ctx.t_n)])
-            self.at_t_n, self.capped = self._cumulative(at_t_n), self._cumulative(ctx.capped)
-            # The capped values are >= 0. The search sums a group's in z order
-            # over at most n values, within n eps/2 of their sum T <= total;
-            # each cumulative entry is within (n + m) eps/2 total of its exact
-            # value, and their difference adds eps/2 total. So the search's sum
-            # is below the difference plus 2 (n + m + 1) eps total, and twice
-            # that absorbs the rounding of adding it (``_surely_fires``).
-            self.slack = 4.0 * (ctx.n + m + 1) * np.finfo(float).eps * self.capped[-1]
-
-    def _cumulative(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.m + 2)
-        np.cumsum(np.bincount(self.cells, x, self.m + 1), out=out[1:])
-        return out
+            self.at_t_n = cut.cumulative(at_t_n)
 
     def _blocks(self):
         """Each block of consecutive segments' cumulative sums over the
@@ -595,12 +569,9 @@ class _IntervalBound:
 
     def _finish(self, v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The segment bounds ``v`` of the groups lo[i]..hi[i] with the hybrid
-        rule applied."""
-        if self.hybrid:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fires = _surely_fires(self.capped[hi + 1] - self.capped[lo], self.slack,
-                                      self.count[hi + 1] - self.count[lo], self.n)
-            v = np.where(fires, self.at_t_n[hi + 1] - self.at_t_n[lo], v)
+        rule applied where it surely fires."""
+        if self.rule is not None:
+            v = np.where(self.rule(lo, hi)[0], self.at_t_n[hi + 1] - self.at_t_n[lo], v)
         return v
 
     def ends(self, table: bool = False) -> tuple:
@@ -614,8 +585,7 @@ class _IntervalBound:
             head = np.minimum(head, cum[:, 1:m + 1].min(axis=0))
             tail = np.minimum(tail, (cum[:, m + 1:] - cum[:, 1:m + 1]).min(axis=0))
         b = np.arange(m)
-        head = (self._finish(head, np.zeros(m, dtype=int), b) if self.head_column is None
-                else self._cumulative(self.head_column)[1:m + 1])
+        head = self._finish(head, np.zeros(m, dtype=int), b) if self.heads is None else self.heads
         return head, self._finish(tail, b + 1, np.full(m, m))
 
     def row(self, a: int) -> np.ndarray:
@@ -662,7 +632,7 @@ def _loss_bound(cut: _Cut) -> _IntervalBound:
     return _IntervalBound(cut, theta2, above, scale)
 
 
-def _sure_bound(cut: _Cut, hybrid: bool, screen: bool = False) -> _IntervalBound:
+def _sure_bound(cut: _Cut, screen: bool = False) -> _IntervalBound:
     """The interval bound of a SURE cut. A coordinate's term is
     s2 (z^2 - 2) at thresholds t >= z and s2 t^2 below z: on [t_j, t_{j+1}]
     at least s2 t_j^2. So ``above`` is the s2 column, and each segment's sums
@@ -676,13 +646,13 @@ def _sure_bound(cut: _Cut, hybrid: bool, screen: bool = False) -> _IntervalBound
     # base is the sum of s2
     scale = (ctx.t_n**2 + 3.0) * ctx.s2_total
     if not screen:
-        return _IntervalBound(cut, below, ctx.s2s, scale, hybrid)
+        return _IntervalBound(cut, below, ctx.s2s, scale)
     # A screened coordinate's term s2 (z^2 - 2) is not limited by t_n. A
     # total or bound sums kept terms, screened terms and the base, so its
     # values have magnitude at most the scale above plus the sum of
     # s2 |z^2 - 2| in all, and the margin's derivation holds with that scale.
     scale += float(np.abs(below).sum())
-    return _IntervalBound(cut, below, ctx.s2s, scale, hybrid, head_column=below)
+    return _IntervalBound(cut, below, ctx.s2s, scale, head_column=below)
 
 
 def _within(ctx: _SortedBatch, cells: np.ndarray, lo: int, hi: int) -> tuple:
@@ -717,21 +687,47 @@ class _Cut:
     group and ``rest`` the others. ``row(a)`` scores the middle groups a..b,
     b = a..m-1. ``bound``, when given, maps the cut to its
     ``_IntervalBound``, with which ``_search`` prunes when its largest K is 2
-    or 3. The cut builders are ``_sure_cut``, ``_loss_cut`` and
-    ``_screen_cut``; every cell of their grids holds a coordinate, but for
-    the screening cut's lowest and top cells."""
+    or 3. ``hybrid`` (SURE only) applies the hybrid rule (``hybrid_rule``).
+    The cut builders are ``_sure_cut``, ``_loss_cut`` and ``_screen_cut``;
+    every cell of their grids holds a coordinate, but for the screening
+    cut's lowest and top cells."""
 
     def __init__(self, ctx: _SortedBatch, grid: np.ndarray, first, rest, base: float,
-                 bound=None):
-        self.ctx = ctx
-        self.grid = grid
+                 bound=None, hybrid: bool = False):
         self.m = m = grid.size
-        self.first = first
-        self.rest = rest
-        self.base = base
-        self.bound = bound
+        self.ctx, self.grid, self.first, self.rest = ctx, grid, first, rest
+        self.base, self.bound, self.hybrid = base, bound, hybrid
         self.cells = np.searchsorted(grid, ctx.side, side="left")
         self.count = np.concatenate([[0], np.cumsum(np.bincount(self.cells, minlength=m + 1))])
+        if hybrid:
+            self.capped = self.cumulative(ctx.capped)
+            # The capped values are >= 0. The kernel sums a group's in z order
+            # over at most n values, within n eps/2 of their sum T <= total;
+            # each cumulative entry is within (n + m) eps/2 total of its exact
+            # value, and their difference adds eps/2 total. So the kernel's sum
+            # lies within 2 (n + m + 1) eps total of the difference, and twice
+            # that absorbs the rounding of adding or subtracting it.
+            self.slack = 4.0 * (ctx.n + m + 1) * np.finfo(float).eps * self.capped[-1]
+
+    def cumulative(self, x: np.ndarray) -> np.ndarray:
+        """Sums of ``x`` over cells 0..c-1, c = 0..m + 1."""
+        out = np.zeros(self.m + 2)
+        np.cumsum(np.bincount(self.cells, x, self.m + 1), out=out[1:])
+        return out
+
+    def hybrid_rule(self, lo: np.ndarray, hi: np.ndarray) -> tuple:
+        """(fires, open_, size) of the groups on cells lo[i]..hi[i]: whether
+        the hybrid rule surely fires on the group's capped sum in z order,
+        the indices of those it may fire on but not surely (left open), and
+        their sizes. The rule is monotone in the sum (rounding of
+        x / size - 1 is): it fires on every sum within the slack iff at the
+        difference plus it, and on none iff not at the difference less it."""
+        capped = self.capped[hi + 1] - self.capped[lo]
+        size = self.count[hi + 1] - self.count[lo]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fires = _hybrid_fires(capped + self.slack, size, self.ctx.n)
+            open_ = np.flatnonzero(_hybrid_fires(capped - self.slack, size, self.ctx.n) & ~fires)
+        return fires, open_, size
 
     @functools.cached_property
     def head(self) -> tuple:
@@ -774,7 +770,8 @@ class _Cut:
             # the coordinates of one group are those the chunk keeps
             mask = (keep[None] if e - s == 1
                     else (sub_cells >= lo[s:e, None]) & (sub_cells <= hi[s:e, None]))
-            t[s:e], v[s:e] = term(sub, mask)
+            rule = (self.hybrid_rule(lo[s:e], hi[s:e]),) if self.hybrid else ()
+            t[s:e], v[s:e] = term(sub, mask, *rule)
             s = e
         return t, v
 
@@ -917,6 +914,7 @@ def _pruned(cut: _Cut, ks) -> tuple:
     """
     m, base = cut.m, cut.base
     bound = cut.bound(cut)
+    row = functools.cache(bound.row)  # each K = 3 row is bounded once
     head, tail = bound.ends(table=3 in ks)
     head_t, head_v = np.zeros(m + 1), np.full(m + 1, np.inf)
     tail_t, tail_v = np.zeros(m), np.full(m, np.inf)
@@ -940,7 +938,7 @@ def _pruned(cut: _Cut, ks) -> tuple:
         for a in np.argsort(floor, kind="stable") + 1:
             if not floor[a - 1] < least:
                 break
-            low = first[a - 1] + bound.row(a) + tail[a:]
+            low = first[a - 1] + row(a) + tail[a:]
             i = int(np.argmin(low))
             if low[i] < least:
                 least, pair = low[i], (np.array([a]), np.array([a + i]))
@@ -957,13 +955,13 @@ def _pruned(cut: _Cut, ks) -> tuple:
         limit += bound.margin
         lo, hi, mid = [none], [none], [none]
         for a in np.flatnonzero(floor <= limit) + 1:
-            low = bound.row(a)
+            low = row(a)
             b = np.flatnonzero(first[a - 1] + low + tail[a:] <= limit)
             lo.append(np.full(b.size, a))
             hi.append(b + a)
             mid.append(low[b])
         lo, hi, mid = np.concatenate(lo), np.concatenate(hi), np.concatenate(mid)
-    del bound  # its table is not needed while scoring
+    del bound, row  # the table and rows are not needed while scoring
     score(np.setdiff1d(np.concatenate([[m] if 1 in ks else none, kept, lo - 1]), heads),
           np.setdiff1d(np.concatenate([kept, hi]), tails))
     middle = {}
@@ -994,9 +992,8 @@ def _sure_cut(batch: DataBatch, grid: np.ndarray, hybrid: bool, k_max: int = 2) 
     items 2 and 6). ``_search`` prunes no K >= 4.
     """
     ctx = _SortedBatch(batch, batch.s)
-    term = functools.partial(_sure_group, hybrid=hybrid)
-    bound = functools.partial(_sure_bound, hybrid=hybrid) if k_max == 3 else None
-    return _Cut(ctx, grid, term, term, ctx.s2_total, bound=bound)
+    return _Cut(ctx, grid, _sure_group, _sure_group, ctx.s2_total,
+                bound=_sure_bound if k_max == 3 else None, hybrid=hybrid)
 
 
 def _loss_cut(batch: DataBatch, side: np.ndarray, grid: np.ndarray) -> _Cut:
@@ -1014,8 +1011,8 @@ def _screen_cut(batch: DataBatch, mn_factor: float = 50.0) -> _Cut:
     abs_s = np.abs(batch.s)
     tau_cands = np.union1d([0.0, abs_s.max()], _split_points(tau_grid(abs_s, mn_factor), abs_s))
     ctx = _SortedBatch(batch, abs_s)
-    return _Cut(ctx, tau_cands, _screen_group, functools.partial(_sure_group, hybrid=False),
-                ctx.s2_total, bound=functools.partial(_sure_bound, hybrid=False, screen=True))
+    return _Cut(ctx, tau_cands, _screen_group, _sure_group, ctx.s2_total,
+                bound=functools.partial(_sure_bound, screen=True))
 
 
 def _fit_grid(s: np.ndarray, k: int, mn_factor: float) -> np.ndarray:

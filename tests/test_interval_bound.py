@@ -116,10 +116,9 @@ def test_batches_cover_empty_groups_and_the_hybrid_rule():
     for family in FAMILIES:
         batch = family_batch(family, 503)
         cut = cut_of(batch, "sure-hybrid", tau_grid(batch.s, 4.0))
-        bound = cut.bound(cut)
         lo, hi = intervals(cut.m)
         size = cut.count[hi + 1] - cut.count[lo]
-        capped = bound.capped[hi + 1] - bound.capped[lo] + bound.slack
+        capped = cut.capped[hi + 1] - cut.capped[lo] + cut.slack
         empty += np.count_nonzero(size == 0)
         fired += np.count_nonzero(_hybrid_fires(capped[size > 0], size[size > 0], batch.n))
     assert empty > 0 and fired > 0
@@ -160,11 +159,11 @@ def test_group_inside_the_slack_keeps_the_segment_bound(seed):
     assert cut.count[2] == 200 and cut.count[1] > 0
     t, exact = cut.terms(cut.rest, *first)
     assert t[0] < cut.ctx.t_n  # the search's sum does not fire the rule
-    capped = bound.capped[2] - bound.capped[0]
+    capped = cut.capped[2] - cut.capped[0]
     # the cells' sum fires it, but not with the slack added: a bound taking
     # the term at t_n there would exceed the exact term
     assert _hybrid_fires(capped, 200, batch.n)
-    assert not _hybrid_fires(capped + bound.slack, 200, batch.n)
+    assert not _hybrid_fires(capped + cut.slack, 200, batch.n)
     assert bound.at_t_n[2] - bound.at_t_n[0] > exact[0] + bound.margin
     assert bound(*first)[0] <= exact[0]
     assert_bound_holds(cut)
@@ -271,10 +270,20 @@ def test_select_k_is_pruned(monkeypatch):
         ends.append(np.count_nonzero((lo == 0) | (hi == self.m)))  # heads and tails
         return terms(self, term, lo, hi, within)
 
+    bounded = []
+    row = tuner._IntervalBound.row
+
+    def counting_rows(self, a):
+        bounded.append(int(a))
+        return row(self, a)
+
     monkeypatch.setattr(tuner._Cut, "terms", counting)
+    monkeypatch.setattr(tuner._IntervalBound, "row", counting_rows)
     got = select_k(batch, 3)
     monkeypatch.undo()
     assert 0 < sum(scored) < 0.02 * m * (m - 1) / 2
+    # each row of the K = 3 search is bounded at most once
+    assert 0 < len(bounded) == len(set(bounded))
     # of the m + 1 heads and m tails
     assert 0 < sum(ends) < (2 * m + 1) / 4
     # the reference scores every group, whatever bound the cut carries

@@ -55,7 +55,7 @@ def loss_cuts(batch: DataBatch, mn_factor: float = 50.0):
 
 def unbounded(cut):
     """The same cut without its bound: every split scored."""
-    return tuner._Cut(cut.ctx, cut.grid, cut.first, cut.rest, cut.base)
+    return tuner._Cut(cut.ctx, cut.grid, cut.first, cut.rest, cut.base, hybrid=cut.hybrid)
 
 
 def zero_middle_batch():

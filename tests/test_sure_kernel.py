@@ -1,11 +1,13 @@
 """The SURE group kernel against each group fitted on its own coordinates.
 
-``tuner._sure_group`` scores many groups at once, one masked row per group,
-and decides the hybrid rule from a dot product, taking the capped sum in z
-order only for the rows whose decision the dot product's slack cannot settle.
-These tests compare it, bit for bit, with ``brute_force.sure_group``, which
-compacts each group's coordinates and fits it alone; and they check that on
-the benchmark's scenarios no row of a K = 2 search needs the z-order sum.
+``tuner._sure_group`` scores many groups at once, one masked row per group.
+A hybrid SURE cut filters the hybrid rule of each group from its per-cell
+cumulative capped sums (``_Cut.hybrid_rule``), and the kernel takes the
+capped sum in z order only for the rows the filter leaves open. These tests
+compare the kernel, bit for bit, with ``brute_force.sure_group``, which
+compacts each group's coordinates and fits it alone; check that every answer
+the filter settles is the z-order sum's; and check that on the benchmark's
+scenarios no row of a K = 2 search needs the z-order sum.
 """
 
 from __future__ import annotations
@@ -14,9 +16,18 @@ import numpy as np
 import pytest
 
 import brute_force
-from auxshrink import ScenarioSpec, fit_asus, generate, sweep_tau, universal_threshold
+from auxshrink import (
+    ScenarioSpec,
+    SearchConfig,
+    fit_asus,
+    generate,
+    sweep_tau,
+    universal_threshold,
+)
 from auxshrink import tuner
-from auxshrink.tuner import _SortedBatch, _fit_grid, _sure_group
+from auxshrink.tuner import _SortedBatch, _fit_grid, _hybrid_fires, _sure_cut, _sure_group, tau_grid
+from test_interval_bound import DESIGNED, slack_batch
+from test_loss_bound import FAMILIES, family_batch
 from test_search_equivalence import hybrid_bound_batch
 
 pytestmark = pytest.mark.bit_identity
@@ -54,23 +65,45 @@ def test_kernel_matches_each_group_on_its_own(seed, ties, hybrid):
     # the distinct batches read the prefix sums by slice, the others gather them
     assert (ctx.candidates[2] is None) != ties
     mask = masks(rng, 40, z.size)
-    t, v = _sure_group(ctx, mask, hybrid)
-    for i in range(mask.shape[0]):  # row 0 is empty
+    # arbitrary groups, as fit_group_threshold's: no cut filters their rule,
+    # so every row is left open and takes its capped sum in z order
+    rows = mask.shape[0]
+    rule = (np.zeros(rows, dtype=bool), np.arange(rows), mask.sum(axis=1)) if hybrid else None
+    t, v = _sure_group(ctx, mask, rule)
+    for i in range(rows):  # row 0 is empty
         want = brute_force.sure_group(ctx, mask[i], hybrid)
         assert (t[i], v[i]) == want, i
 
 
-def test_pure_noise_groups_fire_through_the_dot_product():
-    """Groups of pure noise fire the hybrid rule; every decision below is
-    settled by the dot product, and each row equals its group alone."""
-    rng = np.random.default_rng(11)
-    n = 3000
-    ctx = _SortedBatch.of_group(np.abs(rng.standard_normal(n)), np.ones(n), n)
-    mask = rng.random((30, n)) < 0.5
-    t, v = _sure_group(ctx, mask, True)
-    assert np.count_nonzero(t == ctx.t_n) > 15
-    for i in range(mask.shape[0]):
-        assert (t[i], v[i]) == brute_force.sure_group(ctx, mask[i], True)
+SMALL_CUTS = {
+    **{family: lambda family=family: (family_batch(family, 503), 4.0) for family in FAMILIES},
+    **DESIGNED,
+    **{f"hybrid-bound-{seed}": lambda seed=seed: (hybrid_bound_batch(seed)[0], 1.0)
+       for seed in (0, 4)},
+    "slack-4": lambda: (slack_batch(4)[0], 1.0),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_CUTS)
+def test_settled_answers_agree_with_the_z_order_sum(name):
+    """On every contiguous group of a small SURE cut (the full grid, empty
+    cells included), a group on which the filter says the rule surely fires,
+    or surely does not, is one on which the capped sum in z order fires it,
+    or does not."""
+    batch, mn_factor = SMALL_CUTS[name]()
+    cut = _sure_cut(batch, tau_grid(batch.s, mn_factor), True)
+    lo, hi = np.triu_indices(cut.m + 1)
+    fires, open_, size = cut.hybrid_rule(lo, hi)
+    settled = np.ones(lo.size, dtype=bool)
+    settled[open_] = False
+    for a, b, surely, g, ok in zip(lo, hi, fires, size, settled):
+        group = (cut.cells >= a) & (cut.cells <= b)
+        assert g == np.count_nonzero(group)
+        if ok and g:
+            assert surely == _hybrid_fires(np.cumsum(cut.ctx.capped[group])[-1], g, batch.n)
+        elif ok:  # an empty group does not fire
+            assert not surely
+    assert np.any(settled & (size > 0))
 
 
 @pytest.fixture
@@ -80,9 +113,9 @@ def z_order_rows(monkeypatch):
     counts = {"scored": 0, "z_order": 0}
     kernel, z_order_sums = tuner._sure_group, tuner._z_order_sums
 
-    def counting_kernel(ctx, mask, hybrid):
+    def counting_kernel(ctx, mask, rule=None):
         counts["scored"] += mask.shape[0]
-        return kernel(ctx, mask, hybrid)
+        return kernel(ctx, mask, rule)
 
     def counting_sums(mask, column):
         counts["z_order"] += mask.shape[0]
@@ -99,8 +132,8 @@ def z_order_rows(monkeypatch):
     ("one-sample-s1", {"m": 200, "aux_variant": 2}),
 ])
 def test_no_row_of_a_k2_search_needs_the_z_order_sum(z_order_rows, family, extra, seed):
-    """A K = 2 search's dot product settles the hybrid rule for every row
-    it scores. fit_asus scores every head and tail group while its search is
+    """The cut's filter settles the hybrid rule for every row a K = 2
+    search scores. fit_asus scores every head and tail group while its search is
     not pruned; sweep_tau reads every head and tail, pruned or not."""
     batch = generate(ScenarioSpec(family, n=1000, seed=seed, **extra))
     fit_asus(batch)
@@ -119,3 +152,22 @@ def test_group_at_the_hybrid_bound_takes_the_z_order_sum(z_order_rows, seed):
     batch, z = hybrid_bound_batch(seed)
     assert fit_asus(batch).group_sizes.tolist() == [z.size, z.size]
     assert z_order_rows["z_order"] > 0
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_group_inside_the_slack_is_the_one_row_left_open(z_order_rows, seed):
+    """``slack_batch`` puts its first group (cells 0 and 1) within the
+    slack of the hybrid bound: of every contiguous group of the cut, the
+    filter leaves that one open, and it is the one row that takes the
+    z-order sum, in the terms and in a K = 2 fit."""
+    batch, _ = slack_batch(seed)
+    cut = _sure_cut(batch, _fit_grid(batch.s, 2, 1.0), True)
+    lo, hi = np.triu_indices(cut.m + 1)
+    _, open_, _ = cut.hybrid_rule(lo, hi)
+    assert cut.m == 2 and cut.count[2] == 200
+    assert lo[open_].tolist() == [0] and hi[open_].tolist() == [1]
+    cut.terms(cut.rest, lo, hi)
+    assert z_order_rows == {"scored": lo.size, "z_order": 1}
+    z_order_rows.update(scored=0, z_order=0)
+    fit_asus(batch, SearchConfig(k=2, mn_factor=1.0))
+    assert z_order_rows == {"scored": 2 * cut.m + 1, "z_order": 1}
