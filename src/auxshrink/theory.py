@@ -58,22 +58,32 @@ class RegimeParams:
 
 def opt_threshold_f(t: float) -> float:
     """Best soft threshold at sparsity level exp(-t^2/2):
-    f(t) = sqrt(t^2 - 6 log t + 2 log phi(0))."""
+    f(t) = sqrt(t^2 - 6 log t + 2 log phi(0)).
+
+    Above 2^500 it is taken on t / 2^k, each term scaled by 4^-k, and scaled
+    back by 2^k: rounding commutes with powers of two, so the value is bit
+    for bit the formula's wherever its t^2 is finite, and t^2 cannot
+    overflow."""
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"t must be finite and positive, not {t}")
-    arg = t * t - 6.0 * math.log(t) + 2.0 * _LOG_PHI0
+    k = max(0, math.frexp(t)[1] - 500)
+    u = math.ldexp(t, -k)
+    arg = u * u - math.ldexp(6.0 * math.log(t), -2 * k) + math.ldexp(2.0 * _LOG_PHI0, -2 * k)
     if arg <= 0.0:
         raise ValueError(
             f"t={t} is below the expansion's range: t^2 - 6 log t + 2 log phi(0) "
             f"= {arg} is not positive"
         )
-    return math.sqrt(arg)
+    return math.ldexp(math.sqrt(arg), k)
 
 
 def risk_factor_h(t: float) -> float:
     """Per-nonnull risk factor h(t) = f(t)^2 + 5."""
     f = opt_threshold_f(t)
-    return f * f + 5.0
+    h = f * f + 5.0
+    if h == math.inf:
+        raise ValueError(f"h(t) = f(t)^2 + 5 overflows at t={t}")
+    return h
 
 
 def risk_gap_first_order(rp: RegimeParams) -> float:

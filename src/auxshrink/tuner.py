@@ -23,10 +23,10 @@ the number of cells, not with the C(m, K-1) breakpoint vectors.
 largest K it searches is 2 or 3, as pruning does in optimal partitioning
 (Killick et al. 2012, "Optimal detection of changepoints with a linear
 computational cost"). ``_IntervalBound`` bounds from below the least term of
-the group on any run of cells, from per-coordinate minima on a fixed coarse
-grid of thresholds (the segment-wise bound of FPOP, Maidstone et al. 2017),
-summed per cell from histograms over bins of z, a block of segments at a
-time. ``_pruned`` bounds every split (K = 2) and every pair of
+the group on any run of cells by per-cell minima on a fixed coarse grid of
+thresholds, each segment's least of the cell's quadratic cost (FPOP's
+per-segment cost, Maidstone et al. 2017), read off histograms over bins of
+z a block of segments at a time. ``_pruned`` bounds every split (K = 2) and every pair of
 breakpoints (K = 3) by the bounds of its head, middle and tail groups, takes
 the exact total of the one with the least bound, and scores exactly only the
 groups that a split or pair still within a rounding margin of that total
@@ -108,9 +108,9 @@ _CHUNK_ELEMENTS = 1 << 12
 # sweep_tau; with the SURE formula's temporaries about 1 MB is live at once
 _SWEEP_ELEMENTS = 1 << 15
 # segments of [0, t_n] on which _IntervalBound bounds each cell's term. On
-# two-sample-s2 batches of 5000 rows, 65 segments left 2-3 times the splits
-# (K = 2 loss) and 18 times the middle groups (K = 3 SURE) to score that 129
-# leave; 257 raised a K = 2 loss fit's peak memory from 0.86 to 1.05 MB
+# two-sample-s2 batches of 5000 rows, 65 segments left about twice the splits
+# (K = 2 loss, 10-21 against 3-10) and 18 times the middle groups (K = 3 SURE)
+# to score that 129 leave; 257 raised a K = 3 fit's peak from 1.03 to 1.46 MB
 _BOUND_SEGMENTS = 129
 # the most points tau_grid builds: 8 MB of breakpoints, and far beyond any
 # density a search can score
@@ -451,43 +451,43 @@ class _IntervalBound:
     for any a <= b, and the margin by which rounding may move the search's
     totals and these bounds.
 
-    Each coordinate's term is ``below`` at thresholds t >= z, and at least
-    ``above`` below z for t in a segment [t_j, t_{j+1}] of a fixed grid on
-    [0, t_n]: on the segment at least ``below`` if z <= t_j, ``above`` if
-    z > t_{j+1} and the smaller of the two otherwise. Summed over a group
-    these minima bound its term on the segment, and their least over
-    segments bounds its least term. Each segment's sums are taken
-    cumulatively over the cells, so a group's sum is the difference of two
-    entries.
+    Each coordinate's term is ``below`` at thresholds t >= z and, below z,
+    s2 t^2 - 2 B t + C with B = s2 v and C = s2 v^2 (SURE: B = C = 0, no v).
+    On a segment [t_j, t_{j+1}] of a fixed grid on [0, t_n] a cell's term is
+    thus at least the sum of ``below`` over its coordinates with z <= t_j,
+    the least on the segment of the quadratic A t^2 - 2 B t + C summed over
+    those with z > t_{j+1} (A = s2), at B/A clamped to the segment, and over
+    those between the smaller of ``below`` and s2 d^2, d the distance from v
+    to the segment (t_j for SURE). Summed over a group's cells these bound
+    its term on the segment, and their least over segments its least term.
+    Each segment's sums are taken cumulatively over the cells, so a group's
+    sum is the difference of two entries.
 
-    The knots cut z into bins. A cell's ``below`` sum on segment j is a
-    (bin x cell) histogram, one ``np.bincount``, cumulated over the bins up
-    to t_j. For SURE ``above`` is the s2 column (the term below z is
-    s2 t^2 >= s2 t_j^2): add t_j^2 times the cell's s2 total less its s2 over
-    the bins up to t_{j+1}, and the smaller of the two over the bin
-    (t_j, t_{j+1}] that straddles the segment, two histograms more. For the
-    realized loss ``above(t_j, t_{j+1}, i)`` bounds coordinates i.. on the
-    segment, a bincount per segment. Segments run in blocks of about
-    _CHUNK_ELEMENTS sums, each reading the z slice of its bins. A K = 2
-    search's heads and tails take one block at a time, a K = 3 search's
-    bounds the table of all blocks, O(segments x m); both agree bit for bit.
+    The knots cut z into bins. (Bin x cell) histograms of ``below``, A, B
+    and C, one ``np.bincount`` each, cumulated along the bins give the first
+    two parts (the cell's totals less their sums up to t_{j+1}), and one
+    more the third. Segments run in blocks of about _CHUNK_ELEMENTS sums,
+    each reading the z slice of its bins. A K = 2 search's heads and tails
+    take one block at a time, a K = 3 search's bounds the table of all
+    blocks, O(segments x m); both agree bit for bit.
 
     On a hybrid SURE cut a group on which the hybrid rule surely fires
     (``_Cut.hybrid_rule``) has its exact term at t_n as its bound; a group
     the cut's filter leaves open keeps the segment bound, which holds
     whether the rule fires or not.
 
-    ``head_column``, when given, is a column whose sum over a K = 2 split's first
-    group is that group's term at every threshold (the screened group's);
-    ``ends`` then bounds the first group by the column's cumulative sum
-    over the cells, with no segments.
+    ``quadratic`` holds the columns B and C (none for SURE). ``head_column``,
+    when given, is a column whose sum over a K = 2 split's first group is
+    that group's term at every threshold (the screened group's); ``ends``
+    then bounds the first group by the column's cumulative sum over the
+    cells, with no segments.
     """
 
-    def __init__(self, cut: _Cut, below: np.ndarray, above, scale: float,
-                 head_column: np.ndarray | None = None):
+    def __init__(self, cut: _Cut, below: np.ndarray, s2: np.ndarray, scale: float,
+                 quadratic: tuple = (), head_column: np.ndarray | None = None):
         ctx, m = cut.ctx, cut.m
-        self.m, self.cells = m, cut.cells
-        self.below, self.above = below, above
+        self.m, self.cells, self.zs = m, cut.cells, ctx.zs
+        self.columns = (below, s2, *quadratic)
         self.heads = None if head_column is None else cut.cumulative(head_column)[1:m + 1]
         self.knots = np.linspace(0.0, ctx.t_n, _BOUND_SEGMENTS + 1)
         # the coordinates before first[j] have z <= t_j
@@ -498,62 +498,74 @@ class _IntervalBound:
         # at most k eps/2 scale. A total adds at most three terms (each from
         # prefix sums: n + 4 operations) to the base, so it errs by at most
         # (n + 7) eps scale. A segment's cumulative entry (S segments) takes a
-        # value through at most n + m + S + 5 operations (its bin, S + 1 bins,
-        # the cell's sum, m + 1 cells) and sums at most 3 scale: t_j^2 s2 of a
-        # coordinate at or under t_{j+1} is in the cell's total and in the s2
-        # taken from it. A bound, the difference of two entries, thus errs by
-        # at most 3 (n + m + S + 6) eps scale. A pruned split or pair adds at
-        # most three bounds to the base (or one bound to exact terms), and a
-        # row's bound takes a few operations more: 9 (n + m + S + 7) eps scale
-        # at most. Both together are under 10 (n + m + S + 7) eps scale; the
+        # value through at most n + m + S + 8 operations (its bin, S + 1 bins,
+        # the cell's totals less them, four for the quadratic, m + 1 cells)
+        # and sums at most 3 scale: a coordinate's s2 t^2 + 2 |B| t + C, at
+        # most 2 (s2 t_n^2 + C), is in the cell's totals and in the sums taken
+        # from them. A clamped at 0 is no further from the exact A >= 0, and
+        # B/A clamped to the segment is the computed quadratic's least there
+        # up to a division's rounding, which costs O(eps^2) scale. A bound,
+        # the difference of two entries, thus errs by at most
+        # 3 (n + m + S + 9) eps scale. A pruned split or pair adds at most
+        # three bounds to the base (or one bound to exact terms), and a row's
+        # bound takes a few operations more: 9 (n + m + S + 10) eps scale at
+        # most. Both together are under 10 (n + m + S + 10) eps scale; the
         # margin is twice that, which covers the window of a few eps scale in
         # which the search counts totals as tied.
-        self.margin = 20.0 * (ctx.n + m + _BOUND_SEGMENTS + 7) * np.finfo(float).eps * scale
+        self.margin = 20.0 * (ctx.n + m + _BOUND_SEGMENTS + 10) * np.finfo(float).eps * scale
         self.rule = cut.hybrid_rule if cut.hybrid else None
-        if cut.hybrid:  # SURE: ``above`` is s2
+        if cut.hybrid:  # SURE
             c = self.first[-1]
-            at_t_n = np.concatenate([below[:c], above[c:] * (ctx.t_n * ctx.t_n)])
-            self.at_t_n = cut.cumulative(at_t_n)
+            self.at_t_n = cut.cumulative(np.concatenate([below[:c], s2[c:] * (ctx.t_n * ctx.t_n)]))
 
     def _blocks(self):
         """Each block of consecutive segments' cumulative sums over the
         cells, with a leading zero: (segments of the block, m + 2)."""
-        m, cells, below, above, first = self.m, self.cells, self.below, self.above, self.first
-        under = s2_under = 0.0  # each cell's sums over the bins below a block
-        s2_total = None if callable(above) else np.append(0.0, np.bincount(cells, above, m + 1))
+        m, cells, columns, first, knots = self.m, self.cells, self.columns, self.first, self.knots
+        below, s2 = columns[:2]
+        # each cell's totals of A (B, C), with column 0 zero as in a histogram
+        totals = np.array([np.append(0.0, np.bincount(cells, x, m + 1)) for x in columns[1:]])
+        # the segment j whose bin (t_j, t_{j+1}] holds z (-1 at z = 0) gives each
+        # coordinate up to t_n its (bin x cell) key and least term on the segment
+        c = first[-1]
+        seg = np.searchsorted(knots, self.zs[:c]) - 1
+        d = knots[np.maximum(seg, 0)]
+        if len(columns) > 2:  # the distance from v = B / s2 to the segment
+            v = columns[2][:c] / s2[:c]
+            d = np.maximum(np.maximum(d - v, v - knots[seg + 1]), 0.0)
+            del v
+        keys = (seg + 1) * (m + 2) + cells[:c] + 1  # column 0 is 0
+        straddle = np.minimum(below[:c], s2[:c] * (d * d))
+        del seg, d
+        carry = 0.0  # each cell's sums over the bins below a block
+        sums = np.empty((len(columns), self.step + 1, m + 2))  # each block's histograms
         for j in range(0, _BOUND_SEGMENTS, self.step):
             k = min(j + self.step, _BOUND_SEGMENTS)
             # row i + 1 of a histogram is the bin (t_{j+i}, t_{j+i+1}], which
             # straddles segment j + i; row 0 the carry and, first, z = 0
             a, b, size = first[j] if j else 0, first[k], (k - j + 1) * (m + 2)
-            sizes = np.diff(first[j:k + 1], prepend=a)
-            key = np.repeat(np.arange(1, size, m + 2), sizes) + cells[a:b]  # column 0 is 0
-
-            def histogram(x):  # float even when the block holds no coordinate
-                return np.bincount(key, x, size).astype(float, copy=False).reshape(-1, m + 2)
-
-            low = histogram(below[a:b])
-            low[0] += under
-            np.cumsum(low, axis=0, out=low)
-            under = low[-1]
-            if callable(above):  # the realized loss, one segment at a time
-                block = np.zeros((k - j, m + 2))
-                for i in range(j, k):
-                    lo, hi = first[i], first[i + 1]
-                    d = above(self.knots[i], self.knots[i + 1], lo)
-                    np.minimum(d[:hi - lo], below[lo:hi], out=d[:hi - lo])
-                    block[i - j, 1:] = np.bincount(cells[lo:], d, m + 1)
+            key = keys[a:b] - j * (m + 2)
+            # (column, bin, cell) sums cumulated bin by bin, np.cumsum's sums but faster
+            cum = sums[:, :k - j + 1]
+            for hist, x in zip(cum, columns):
+                hist[...] = np.bincount(key, x[a:b], size).reshape(-1, m + 2)
+            cum[:, 0] += carry
+            for i in range(1, k - j + 1):
+                cum[:, i] += cum[:, i - 1]
+            carry = cum[:, -1].copy()
+            # A (B, C) over each cell's coordinates above t_{j+i+1}
+            above = np.subtract(totals[:, None], cum[1:, 1:], out=cum[1:, 1:])
+            lo, hi = knots[j:k, None], knots[j + 1:k + 1, None]
+            if len(above) == 1:  # SURE: the least at t_j
+                block = above[0] * (lo * lo)
             else:
-                t2 = self.knots[j:k] * self.knots[j:k]
-                s2 = histogram(above[a:b])
-                s2[0] += s2_under
-                np.cumsum(s2, axis=0, out=s2)
-                s2_under = s2[-1].copy()
-                block = np.subtract(s2_total, s2[1:], out=s2[1:])
-                block *= t2[:, None]
-                t2 = np.repeat(np.append(0.0, t2), sizes)
-                block += histogram(np.minimum(below[a:b], above[a:b] * t2))[1:]
-            block += low[:-1]
+                qa, qb, qc = above
+                np.maximum(qa, 0.0, out=qa)
+                with np.errstate(all="ignore"):  # 0/0 is t_j, +-x/0 an end
+                    t = np.fmin(np.fmax(qb / qa, lo), hi)
+                block = (qa * t - 2.0 * qb) * t + qc
+            block += np.bincount(key, straddle[a:b], size)[m + 2:].reshape(k - j, m + 2)
+            block += cum[0, :-1]
             np.cumsum(block, axis=1, out=block)
             yield block
 
@@ -613,33 +625,21 @@ class _IntervalBound:
 def _loss_bound(cut: _Cut) -> _IntervalBound:
     """The interval bound of a realized-loss cut. A coordinate loses theta^2
     at thresholds t >= z and sigma^2 (v - t)^2 below z, with
-    v = sign(y) (y - theta) / sigma: on [t_j, t_{j+1}] at least sigma^2 d^2,
-    d the distance from v to the segment."""
+    v = sign(y) (y - theta) / sigma."""
     ctx = cut.ctx
     theta2, err2, sc, s2 = ctx.loss_columns
-    v = sc / s2
-
-    def above(lo: float, hi: float, i: int) -> np.ndarray:
-        d = np.maximum(lo - v[i:], v[i:] - hi)
-        np.maximum(d, 0.0, out=d)
-        d *= d
-        d *= s2[i:]
-        return d
-
     # a coordinate's loss on [0, t_n] is at most theta^2 + (|y - theta| +
     # sigma t_n)^2 <= theta^2 + 2 (y - theta)^2 + 2 sigma^2 t_n^2
     scale = theta2.sum() + 2.0 * err2.sum() + 2.0 * ctx.t_n**2 * s2.sum()
-    return _IntervalBound(cut, theta2, above, scale)
+    return _IntervalBound(cut, theta2, s2, scale, quadratic=(sc, err2))
 
 
 def _sure_bound(cut: _Cut, screen: bool = False) -> _IntervalBound:
     """The interval bound of a SURE cut. A coordinate's term is
-    s2 (z^2 - 2) at thresholds t >= z and s2 t^2 below z: on [t_j, t_{j+1}]
-    at least s2 t_j^2. So ``above`` is the s2 column, and each segment's sums
-    take ``_IntervalBound``'s closed form over bins of z. With ``screen`` a
-    K = 2 split's first group is screened (``_screen_cut``): its term is
-    s2 (z^2 - 2) at every threshold, and that column's cumulative sum over
-    the cells bounds it exactly."""
+    s2 (z^2 - 2) at thresholds t >= z and s2 t^2 below z, ``_IntervalBound``'s
+    quadratic with B = C = 0. With ``screen`` a K = 2 split's first group is
+    screened (``_screen_cut``): its term is s2 (z^2 - 2) at every threshold,
+    and that column's cumulative sum over the cells bounds it exactly."""
     ctx = cut.ctx
     below = ctx.s2z2 - 2.0 * ctx.s2s
     # a coordinate's term is at most s2 (t_n^2 + 2) in magnitude, and the
@@ -909,8 +909,7 @@ def _pruned(cut: _Cut, ks) -> tuple:
     and then visited least bound first to find the pair with the least
     bound. The pairs within the margin have their head and tail scored, and
     only those still within it with these exact terms have their middle
-    group scored. A search of K = 2 alone takes its bounds one block of
-    segments at a time, with no table.
+    group scored; a K = 2 search alone builds no table (``ends``).
     """
     m, base = cut.m, cut.base
     bound = cut.bound(cut)

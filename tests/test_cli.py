@@ -692,6 +692,10 @@ class TestTheoryCommand:
         out = capsys.readouterr().out.strip()
         assert out == "0.755280875954"
 
+    def test_f_value_where_t_squared_overflows(self, capsys):
+        assert main(["theory", "f", "1e200"]) == 0
+        assert capsys.readouterr().out.strip() == "1e+200"
+
     def test_h_value(self, capsys):
         assert main(["theory", "h", "3"]) == 0
         assert capsys.readouterr().out.strip() == "5.57044920158"

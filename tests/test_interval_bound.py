@@ -9,16 +9,18 @@ make that safe and worth it:
 * the bound is at most the exact `_Cut.terms` value of every interval, for
   SURE with and without the hybrid rule and for the realized loss. A group
   whose bound is tight (the hybrid rule's exact term at t_n, or a loss group
-  lying wholly at or below a segment) equals its term in exact arithmetic,
-  so rounding alone may put the two either side; the check allows the
-  bound's rounding margin, which is what the prunes add to every bound;
+  of one cell lying wholly above or below a segment) equals its term in
+  exact arithmetic, so rounding alone may put the two either side; the
+  check allows the bound's rounding margin, which is what the prunes add to
+  every bound;
 * the pruned searches return what the full `_search` returns: the same
   value bit for bit, breakpoints, thresholds and group sizes, for
   `select_k(k_max=3)`, `fit_asus` and `fit_oracle_loss` at K = 3, and K = 2
   on a SURE cut that carries the bound;
 * on a two-sample-s2 batch of 1000 rows `select_k(k_max=3)` scores under 2%
-  of the middle groups and under a quarter of the head and tail groups, so a
-  prune that silently scored every group would fail here.
+  of the middle groups and under a quarter of the head and tail groups, and
+  a K = 3 `fit_oracle_loss` on one-sample-s2 fewer than 1000 middle groups,
+  so a prune that silently scored every group would fail here.
 """
 
 from __future__ import annotations
@@ -240,36 +242,82 @@ def test_pruned_k3_searches_equal_the_full_search_on_designed_batches(name):
     assert_pruned_searches_match(*DESIGNED[name]())
 
 
-@pytest.mark.parametrize("name", ["knots", "zero-y", "continuous"])
-def test_sure_table_sums_each_coordinates_segment_minimum(name):
-    """The closed form over bins equals, up to rounding, each segment's sum of
-    every coordinate's own minimum: s2 (z^2 - 2) at z <= t_j, s2 t_j^2 at
-    z > t_{j+1} and the smaller of the two between, the bins decided by
-    comparing z with the knots directly."""
-    batch, mn_factor = DESIGNED[name]()
-    cut = cut_of(batch, "sure-plain", tau_grid(batch.s, mn_factor))
-    bound, ctx = cut.bound(cut), cut.ctx
+def segment_minima(cut, j: int) -> tuple:
+    """(below, quadratic, straddle, alone): coordinate by coordinate, their
+    term at thresholds t >= z where z <= t_j, the columns (A, B, C) of the
+    quadratic A t^2 - 2 B t + C below z where z > t_{j+1}, their least term
+    on segment j between, and where z > t_{j+1} their own least below z on
+    the segment, s2 d^2 (d the distance from v to the segment, t_j for
+    SURE); every bin decided by comparing z with the knots."""
+    ctx = cut.ctx
     knots = np.linspace(0.0, ctx.t_n, tuner._BOUND_SEGMENTS + 1)
-    below = ctx.s2s * (ctx.zs**2 - 2.0)
+    lo, hi = knots[j], knots[j + 1]
+    if ctx.loss_columns is None:
+        below, s2 = ctx.s2s * (ctx.zs**2 - 2.0), ctx.s2s
+        b = c = np.zeros(s2.size)
+        d = np.full(s2.size, lo)
+    else:
+        below, c, b, s2 = ctx.loss_columns
+        v = b / s2
+        d = np.maximum(np.maximum(lo - v, v - hi), 0.0)
+    under, over, alone = ctx.zs <= lo, ctx.zs > hi, s2 * d * d
+    straddle = np.where(under | over, 0.0, np.minimum(below, alone))
+    return (np.where(under, below, 0.0), [np.where(over, x, 0.0) for x in (s2, b, c)],
+            straddle, np.where(over, alone, 0.0))
+
+
+def per_cell(cut, x: np.ndarray) -> np.ndarray:
+    return np.bincount(cut.cells, x, cut.m + 1)
+
+
+def cumulative(cells: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0.0], np.cumsum(cells)])
+
+
+@pytest.mark.parametrize("name, objective", [
+    *[pytest.param(name, "sure-plain", id=name) for name in ("knots", "zero-y", "continuous")],
+    *[pytest.param(name, "loss", id=f"loss-{name}") for name in ("knots", "zero-y", "continuous")],
+])
+def test_sure_table_sums_each_coordinates_segment_minimum(name, objective):
+    """The closed form over bins equals, up to rounding, each segment's sum
+    over the cells of a cell's least term: its coordinates' term at z <= t_j
+    (s2 (z^2 - 2), or theta^2), the least on the segment of the quadratic
+    summed over those at z > t_{j+1} (s2 t_j^2 for SURE), and each
+    coordinate's least between. That is at least the sum of every
+    coordinate's own least, the loss bound before the quadratic (for SURE
+    the two are equal)."""
+    batch, mn_factor = DESIGNED[name]()
+    cut = cut_of(batch, objective, tau_grid(batch.s, mn_factor))
+    bound, knots = cut.bound(cut), np.linspace(0.0, cut.ctx.t_n, tuner._BOUND_SEGMENTS + 1)
     for j, got in enumerate(bound.table):
-        above = ctx.s2s * knots[j] ** 2
-        least = np.where(ctx.zs <= knots[j], below,
-                         np.where(ctx.zs > knots[j + 1], above, np.minimum(below, above)))
-        want = np.concatenate([[0.0], np.cumsum(np.bincount(cut.cells, least, cut.m + 1))])
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=bound.margin)
+        below, (a, b, c), straddle, alone = segment_minima(cut, j)
+        a, b, c = per_cell(cut, a), per_cell(cut, b), per_cell(cut, c)
+        with np.errstate(invalid="ignore"):
+            t = np.clip(np.where(a > 0, b / a, 0.0), knots[j], knots[j + 1])
+        least = per_cell(cut, below) + (a * t * t - 2.0 * b * t + c) + per_cell(cut, straddle)
+        np.testing.assert_allclose(got, cumulative(least), rtol=0.0, atol=bound.margin)
+        each = per_cell(cut, below + straddle + alone)
+        assert np.all(got >= cumulative(each) - bound.margin)
+
+
+def counting_terms(monkeypatch) -> tuple:
+    """Patch ``_Cut.terms`` to record, call by call, the middle groups and
+    the heads and tails it scores; returns the two lists."""
+    middle, ends = [], []
+    terms = tuner._Cut.terms
+
+    def counting(self, term, lo, hi, within=None):
+        middle.append(np.count_nonzero((lo > 0) & (hi < self.m)))
+        ends.append(np.count_nonzero((lo == 0) | (hi == self.m)))
+        return terms(self, term, lo, hi, within)
+
+    monkeypatch.setattr(tuner._Cut, "terms", counting)
+    return middle, ends
 
 
 def test_select_k_is_pruned(monkeypatch):
     batch = generate(ScenarioSpec(family="two-sample-s2", n=1000, seed=29))
     m = _fit_grid(batch.s, 3, 50.0).size
-    scored, ends = [], []
-    terms = tuner._Cut.terms
-
-    def counting(self, term, lo, hi, within=None):
-        scored.append(np.count_nonzero((lo > 0) & (hi < self.m)))  # middle groups
-        ends.append(np.count_nonzero((lo == 0) | (hi == self.m)))  # heads and tails
-        return terms(self, term, lo, hi, within)
-
     bounded = []
     row = tuner._IntervalBound.row
 
@@ -277,7 +325,7 @@ def test_select_k_is_pruned(monkeypatch):
         bounded.append(int(a))
         return row(self, a)
 
-    monkeypatch.setattr(tuner._Cut, "terms", counting)
+    scored, ends = counting_terms(monkeypatch)
     monkeypatch.setattr(tuner._IntervalBound, "row", counting_rows)
     got = select_k(batch, 3)
     monkeypatch.undo()
@@ -291,3 +339,21 @@ def test_select_k_is_pruned(monkeypatch):
     fits = _search(cut, range(1, 4))
     want = [sure(batch, HyperParams(*fits[k][1:3])) for k in (1, 2, 3)]
     np.testing.assert_array_equal(got.sure_values, want)
+
+
+def test_loss_fit_is_pruned(monkeypatch):
+    """A K = 3 oracle-loss fit on one-sample-s2 (1000 signals in 1003 rows),
+    where a bound taking each coordinate's least alone left 3946 middle
+    groups to score, scores fewer than 1000 and fits what scoring every
+    group fits."""
+    batch = family_batch("one-sample-s2", 1003, 7)
+    scored, _ = counting_terms(monkeypatch)
+    got = fit_oracle_loss(batch, SearchConfig(k=3))
+    monkeypatch.undo()
+    assert 0 < sum(scored) < 1000
+    cut = _loss_cut(batch, batch.s, _fit_grid(batch.s, 3, 50.0))
+    want = _search(unbounded(cut), [3])[3]
+    assert_same(_search(cut, [3])[3], want)
+    np.testing.assert_array_equal(got.hp.tau, want[1])
+    np.testing.assert_array_equal(got.hp.t, want[2])
+    np.testing.assert_array_equal(got.group_sizes, want[3])

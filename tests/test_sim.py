@@ -8,6 +8,7 @@ import pytest
 from auxshrink import (
     apply_estimator,
     ScenarioSpec,
+    SearchConfig,
     gen_asymptotic,
     gen_one_sample,
     gen_toy,
@@ -411,17 +412,22 @@ def test_side_oracle_add_stays_small(spec):
     assert peak < 1_000_000
 
 
-def test_oracle_loss_fit_stays_small():
-    # the bound a block of segments at a time, then the unpruned splits' masked rows
+@pytest.mark.parametrize("k, budget", [pytest.param(2, 1_000_000, id="K=2"),
+                                       pytest.param(3, 1_100_000, id="K=3")])
+def test_oracle_loss_fit_stays_small(k, budget):
+    # K = 2: the bound a block of segments at a time, then the unpruned
+    # splits' masked rows. K = 3: the bound table, as in
+    # test_k3_selection_stays_small
     batch = generate(ScenarioSpec(family="two-sample-s2", n=5000))
-    sim.fit_oracle_loss(batch)
+    cfg = SearchConfig(k=k)
+    sim.fit_oracle_loss(batch, cfg)
     tracemalloc.start()
     try:
-        sim.fit_oracle_loss(batch)
+        sim.fit_oracle_loss(batch, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+    assert peak < budget
 
 
 def test_k3_selection_stays_small():

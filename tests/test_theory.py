@@ -32,6 +32,22 @@ class TestOptimalThreshold:
             with pytest.raises(ValueError, match="^t must be finite and positive"):
                 fn(t)
 
+    @pytest.mark.parametrize("t", [1e-300, 0.5, 3.0, 50.0, 1e100, 2.0**500, 3.0 * 2.0**500,
+                                   1.34e154])
+    def test_value_is_the_formula_bit_for_bit_where_t_squared_is_finite(self, t):
+        want = math.sqrt(t * t - 6.0 * math.log(t) - math.log(2.0 * math.pi))
+        assert opt_threshold_f(t) == want
+
+    @pytest.mark.parametrize("t", [1.5e154, 1e200, 1.7e308])
+    def test_large_argument_is_t_to_double_precision(self, t):
+        # t^2 overflows here, while 6 log t / t^2 is far below an ulp
+        assert opt_threshold_f(t) == t
+
+    def test_h_overflow_names_t(self):
+        assert math.isfinite(risk_factor_h(1e154))
+        with pytest.raises(ValueError, match="overflows at t=1e[+]200"):
+            risk_factor_h(1e200)
+
     def test_small_argument_rejected(self):
         with pytest.raises(ValueError):
             opt_threshold_f(1.0)
